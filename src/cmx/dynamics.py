@@ -83,7 +83,7 @@ def cfl_limit(mesh, medium):
     2 / (sqrt(3) max|symbol|) at the slowest local wave speed.
     """
     peak = float(np.abs(difference_symbol(np.pi, mesh.spacing)))
-    return float(2.0 * np.sqrt(medium.eps.min() * medium.mu.min())
+    return float(2.0 * np.sqrt(medium.eps_min * medium.mu_min)
                  / (np.sqrt(3.0) * peak))
 
 
@@ -167,10 +167,6 @@ def _check_cfl(mesh, medium, dt):
         raise CFLError(f"|dt| = {abs(dt):.6g} exceeds the stability bound {limit:.6g}")
 
 
-def _curl(field):
-    return exterior_derivative(field)
-
-
 def _advance(base, scale, rate, weight=None):
     """base + scale * rate / weight, formed in the fresh array of ``rate``.
 
@@ -210,21 +206,21 @@ def step_induction(state, medium, cfg):
     _check_cfl(state.mesh, medium, cfg.dt)
     dt = cfg.dt
 
-    B_half = _advance(state.B, -0.5 * dt, _curl(state.e))
+    B_half = _advance(state.B, -0.5 * dt, exterior_derivative(state.e))
     h_mid = FormField(
         state.mesh,
         1,
         np.stack([B_half.data[a] / medium.mu_face[a] for a in range(3)]),
         dual=True,
     )
-    D_new = _advance(state.D, dt, _curl(h_mid))
+    D_new = _advance(state.D, dt, exterior_derivative(h_mid))
     e_new = FormField(
         state.mesh,
         1,
         np.stack([D_new.data[a] / medium.eps_edge[a] for a in range(3)]),
         dual=False,
     )
-    B_new = _advance(B_half, -0.5 * dt, _curl(e_new))
+    B_new = _advance(B_half, -0.5 * dt, exterior_derivative(e_new))
     h_new = FormField(
         state.mesh,
         1,
@@ -243,16 +239,16 @@ def step_intensity(state, medium, cfg):
     _check_cfl(state.mesh, medium, cfg.dt)
     dt = cfg.dt
 
-    h_half = _advance(state.h, -0.5 * dt, _curl(state.e), medium.mu_face)
-    e_new = _advance(state.e, dt, _curl(h_half), medium.eps_edge)
-    h_new = _advance(h_half, -0.5 * dt, _curl(e_new), medium.mu_face)
+    h_half = _advance(state.h, -0.5 * dt, exterior_derivative(state.e), medium.mu_face)
+    e_new = _advance(state.e, dt, exterior_derivative(h_half), medium.eps_edge)
+    h_new = _advance(h_half, -0.5 * dt, exterior_derivative(e_new), medium.mu_face)
     D_new, B_new = induction_from_intensity(e_new, h_new, medium)
     energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
     return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new,
                         energy=energy_new, time=state.time + dt)
 
 
-def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0):
+def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=None):
     """Energy-balance and constraint diagnostics between two reported states.
 
     The balance residual is the rate of change of the energy functional
@@ -261,9 +257,17 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0):
     coordinate; on
     the whole periodic domain the divergence integral is identically zero
     (discrete Stokes), so the residual is the pure drift rate.
+
+    ``psi_prev`` is the energy functional of ``s_prev`` over ``region``
+    when the caller already has it, as `run_scenario` has from the
+    previous row; the phase residuals of ``s_next`` supply its energy
+    density and constitutive images to the Hamiltonian density.
     """
-    psi_prev = functional(energy_density(s_prev.D, s_prev.B, medium), region)
-    psi_next = functional(energy_density(s_next.D, s_next.B, medium), region)
+    res = phase_residuals(s_next, medium, Orientation.DB)
+    psi_next = functional(res.energy, region)
+    if psi_prev is None:
+        psi_prev = psi_next if s_prev is s_next else functional(
+            energy_density(s_prev.D, s_prev.B, medium), region)
     dt = s_next.time - s_prev.time
     rate = (psi_next - psi_prev) / dt if dt != 0 else 0.0
     if region.is_whole or dt == 0:
@@ -272,8 +276,8 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0):
         flux = 0.25 * integrate(
             _centred_flux(s_prev.e, s_next.e, s_prev.h, s_next.h), region)
 
-    res = phase_residuals(s_next, medium, Orientation.DB)
-    density = contact_hamiltonian_density(s_next, medium, Orientation.DB, kappa)
+    density = contact_hamiltonian_density(s_next, medium, Orientation.DB, kappa,
+                                          residuals=res)
     return DiagnosticsReport(
         time=s_next.time,
         psi_total=psi_next,
@@ -292,7 +296,8 @@ def run_scenario(initial, medium, cfg, sinks=()):
 
     ``sinks`` are callables ``sink(state, step_index)`` invoked at every
     reported step (including step 0); snapshot stride logic belongs to the
-    sink.  Returns the final state and the list of diagnostics rows.
+    sink.  Returns the final state and the list of diagnostics rows.  Each
+    report takes the previous row's ``psi_total`` as its ``psi_prev``.
     """
     stepper = step_induction if cfg.orientation is Orientation.DB else step_intensity
     state = initial
@@ -305,9 +310,8 @@ def run_scenario(initial, medium, cfg, sinks=()):
         if k % cfg.cadence == 0 or k == cfg.steps:
             if not state.is_finite():
                 raise NonFiniteStateError(k)
-            reports.append(
-                poynting_report(prev_reported, state, medium, kappa=cfg.kappa)
-            )
+            reports.append(poynting_report(prev_reported, state, medium, kappa=cfg.kappa,
+                                           psi_prev=reports[-1].psi_total))
             prev_reported = state
             for sink in sinks:
                 sink(state, k)

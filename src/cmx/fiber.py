@@ -71,7 +71,9 @@ class MediumProfile:
         mu = np.broadcast_to(np.asarray(mu, dtype=float), mesh.dims).copy()
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(mu))):
             raise ValueError("medium has non-finite entries")
-        if eps.min() <= 0 or mu.min() <= 0:
+        self.eps_min = float(eps.min())
+        self.mu_min = float(mu.min())
+        if self.eps_min <= 0 or self.mu_min <= 0:
             raise ValueError("permittivity and permeability must be strictly positive")
         self.mesh = mesh
         self.eps = eps
@@ -92,10 +94,10 @@ class MediumProfile:
     @classmethod
     def sech_slab(cls, mesh, eps0, z30, mu0):
         """Permittivity eps0 * sech^2(zeta3 / z30) around the domain midplane."""
-        _, _, z3 = mesh.coords(_CELL)
+        z3 = mesh.axis_coords(2, _CELL[2])
         centered = z3 - 0.5 * mesh.extent[2]
         eps = eps0 / np.cosh(centered / z30) ** 2
-        return cls(mesh, eps, float(mu0))
+        return cls(mesh, eps.reshape(1, 1, -1), float(mu0))
 
     def wave_speed_max(self):
         """Fastest local signal speed 1/sqrt(eps*mu), cell-sampled."""
@@ -213,8 +215,14 @@ def pairing_density(D, B, e, h):
 
 
 def functional(density, region=WHOLE):
-    """Volume integral of a density 0-form: integrate(density * vol)."""
-    return integrate(hodge_star(density), region)
+    """Volume integral of a density 0-form: integrate(density * vol).
+
+    The star of a 0-form is the 3-form with the same array, so the sum
+    reads the density's own array instead of the star's copy.
+    """
+    if density.degree != 0:
+        raise ValueError("functional expects a density 0-form")
+    return integrate(FormField(density.mesh, 3, density.data, not density.dual), region)
 
 
 def _componentwise(op, data, weight):
@@ -256,12 +264,20 @@ def induction_from_intensity(e, h, medium):
 @dataclass(frozen=True)
 class PhaseResiduals:
     """Residuals that vanish exactly when the state sits on the phase space
-    of the chosen orientation (constitutive and energy relations hold)."""
+    of the chosen orientation (constitutive and energy relations hold).
+
+    ``energy`` is the energy density the evolved pair implies and
+    ``images`` are the evolved pair's constitutive images, both as formed
+    for the residuals: DB keeps energy_density(D, B) and (star(D)/eps,
+    star(B)/mu); EH keeps pairing - co-energy and (eps star(e), mu star(h)).
+    """
 
     orientation: Orientation
     delta_energy: FormField
     delta_De: FormField
     delta_Bh: FormField
+    energy: FormField
+    images: tuple
 
     def max_abs(self):
         return max(
@@ -286,39 +302,46 @@ def phase_residuals(state, medium, orientation):
     """
     if orientation is Orientation.DB:
         e_c, h_c = intensity_from_induction(state.D, state.B, medium)
+        energy = energy_density(state.D, state.B, medium)
         return PhaseResiduals(
             orientation=orientation,
-            delta_energy=energy_density(state.D, state.B, medium) - state.energy,
+            delta_energy=energy - state.energy,
             delta_De=e_c - state.e,
             delta_Bh=h_c - state.h,
+            energy=energy,
+            images=(e_c, h_c),
         )
     D_c, B_c = induction_from_intensity(state.e, state.h, medium)
-    delta_en = (
-        pairing_density(state.D, state.B, state.e, state.h)
-        - coenergy_density(state.e, state.h, medium)
-        - state.energy
-    )
+    energy = (pairing_density(state.D, state.B, state.e, state.h)
+              - coenergy_density(state.e, state.h, medium))
     return PhaseResiduals(
         orientation=orientation,
-        delta_energy=delta_en,
+        delta_energy=energy - state.energy,
         delta_De=state.D - D_c,
         delta_Bh=state.B - B_c,
+        energy=energy,
+        images=(D_c, B_c),
     )
 
 
-def contact_hamiltonian_density(state, medium, orientation, kappa=1.0):
+def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals=None):
     """Density whose volume functional generates the restricted dynamics.
 
     Sum of the Hodge duals of the constitutive residuals wedged with the
     curl-driven velocity factors of the chosen orientation, plus
     kappa times the energy residual.  Identically zero (to rounding) on
     states satisfying the constitutive and energy relations.
+    ``residuals`` may hand in ``phase_residuals(state, medium,
+    orientation)`` when the caller has already formed them.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    res = phase_residuals(state, medium, orientation)
+    if residuals is None:
+        residuals = phase_residuals(state, medium, orientation)
+    elif residuals.orientation is not orientation:
+        raise ValueError("residuals were formed for the other orientation")
     if orientation is Orientation.DB:
-        e_c, h_c = intensity_from_induction(state.D, state.B, medium)
+        e_c, h_c = residuals.images
         F_De = exterior_derivative(h_c)
         F_Bh = -1.0 * exterior_derivative(e_c)
     else:
@@ -336,9 +359,9 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0):
             np.stack([-de.data[a] / medium.mu_face[a] for a in range(3)]),
             dual=True,
         )
-    term_De = hodge_star(wedge(res.delta_De, F_De))
-    term_Bh = hodge_star(wedge(res.delta_Bh, F_Bh))
-    return term_De + term_Bh + kappa * res.delta_energy
+    term_De = hodge_star(wedge(residuals.delta_De, F_De))
+    term_Bh = hodge_star(wedge(residuals.delta_Bh, F_Bh))
+    return term_De + term_Bh + kappa * residuals.delta_energy
 
 
 def energy_quadratic(eps, mu):

@@ -442,7 +442,7 @@ def suite_fiber(seed=0):
         res = phase_residuals(state, medium, orientation)
         results.append(_check(f"fiber.onshell_residuals_{orientation.value}",
                               res.max_abs(), 1e-14 * max(scale, 1.0) ** 2))
-        dens = contact_hamiltonian_density(state, medium, orientation)
+        dens = contact_hamiltonian_density(state, medium, orientation, residuals=res)
         results.append(_check(f"fiber.hamiltonian_density_onshell_{orientation.value}",
                               float(np.abs(dens.data).max()),
                               1e-12 * max(scale, 1.0) ** 2))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cmx.dec import FormField, Mesh, exterior_derivative
+from cmx import dynamics, fiber
+from cmx.dec import FormField, Mesh, difference_symbol, exterior_derivative
 from cmx.dynamics import (
     CFLError,
     SchemeConfig,
@@ -57,6 +58,15 @@ class TestSchemeConfig:
         # is 6/7 of the two-point scheme's h / sqrt(3)
         cfg = SchemeConfig.from_cfl(mesh, vacuum, cfl=0.5)
         assert cfg.dt == pytest.approx(0.5 * 6.0 / (7.0 * np.sqrt(3.0)))
+
+    def test_limit_reads_the_media_minima(self, mesh):
+        rng = np.random.default_rng(3)
+        medium = MediumProfile(mesh, 1.0 + rng.random(mesh.dims),
+                               0.5 + rng.random(mesh.dims))
+        peak = float(np.abs(difference_symbol(np.pi, mesh.spacing)))
+        expected = float(2.0 * np.sqrt(medium.eps.min() * medium.mu.min())
+                         / (np.sqrt(3.0) * peak))
+        assert cfl_limit(mesh, medium) == expected
 
     def test_step_rejects_oversized_dt(self, mesh, vacuum):
         cfg = SchemeConfig(dt=2 * cfl_limit(mesh, vacuum), cfl=0.5)
@@ -228,6 +238,66 @@ class TestRunScenario:
         worst = max(max(r.div_D_max, r.div_B_max) for r in reports)
         assert worst <= 1e-12 * state.field_scale() / mesh.spacing
         assert final.time == pytest.approx(60 * cfg.dt)
+
+
+def reported_run(initial, medium, cfg):
+    """run_scenario's rows and the states it reported them on."""
+    seen = []
+    final, reports = run_scenario(initial, medium, cfg,
+                                  sinks=[lambda state, k: seen.append(state)])
+    return final, reports, seen
+
+
+def row_bits(report):
+    return [getattr(report, name).hex() for name in report.FIELDS]
+
+
+class TestReportReuse:
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    def test_rows_equal_reports_recomputed(self, orientation):
+        mesh = Mesh((12, 8, 10), spacing=0.5)
+        if orientation is Orientation.DB:
+            medium = MediumProfile.sech_slab(mesh, 2.0, 1.5, 1.3)
+            cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.7, steps=20, cadence=3,
+                                        kappa=1.5)
+            initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        else:
+            medium = MediumProfile.uniform(mesh, 2.0, 3.0)
+            cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=7,
+                                        orientation=orientation, kappa=0.5)
+            initial = plane_wave_state(mesh, medium, cfg.dt, axis=2, wavelength=2.5,
+                                       polarization=0)
+        _, reports, seen = reported_run(initial, medium, cfg)
+        pairs = zip([seen[0]] + seen[:-1], seen)
+        oracle = [poynting_report(a, b, medium, kappa=cfg.kappa) for a, b in pairs]
+        assert len(reports) == len(oracle) == len(seen)
+        for row, expected in zip(reports, oracle):
+            assert row_bits(row) == row_bits(expected)
+
+    def test_each_quantity_evaluated_once_per_report(self, monkeypatch):
+        counts = {}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("energy_density", "phase_residuals", "intensity_from_induction"):
+            original = getattr(fiber, name)
+            for module in (fiber, dynamics):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.sech_slab(mesh, 2.0, 1.0, 1.0)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=6, cadence=2)
+        initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        counts.clear()
+        _, reports = run_scenario(initial, medium, cfg)
+        assert counts == dict.fromkeys(
+            ("energy_density", "phase_residuals", "intensity_from_induction"),
+            len(reports))
 
 
 class TestPotentialOracle:

@@ -39,13 +39,15 @@ class TestMediumProfile:
             MediumProfile(mesh, 1.0, -2.0)
 
     def test_sech_slab_profile(self):
-        mesh = Mesh((4, 4, 32), spacing=0.5)
+        # bitwise against the profile evaluated on the full meshgrid
+        mesh = Mesh((12, 8, 10), spacing=0.5)
         medium = MediumProfile.sech_slab(mesh, eps0=2.0, z30=3.0, mu0=1.5)
         mid = mesh.extent[2] / 2
         z = mesh.coords((0.5, 0.5, 0.5))[2]
         expected = 2.0 / np.cosh((z - mid) / 3.0) ** 2
-        np.testing.assert_allclose(medium.eps, expected)
-        np.testing.assert_allclose(medium.mu, 1.5)
+        np.testing.assert_array_equal(medium.eps, expected)
+        np.testing.assert_array_equal(medium.mu, 1.5)
+        assert (medium.eps_min, medium.mu_min) == (expected.min(), 1.5)
 
     def test_staggered_sampling_averages_neighbors(self, mesh):
         rng = np.random.default_rng(0)

@@ -1,0 +1,68 @@
+"""Initial-state presets against their formulas written out on full meshgrids."""
+
+import numpy as np
+import pytest
+
+from cmx.dec import FormField, Mesh
+from cmx.dynamics import SchemeConfig
+from cmx.fiber import MaxwellState, MediumProfile, energy_density
+from cmx.scenarios import (
+    _axis_triplet,
+    _eigenmode_amplitudes,
+    gaussian_pulse_state,
+    plane_wave_state,
+)
+
+MESH = Mesh((12, 8, 10), spacing=0.5)
+
+
+def state_from_samples(mesh, medium, e, B):
+    """The presets' on-shell completion of sampled (e, B), written out."""
+    D = FormField(mesh, 2, np.stack([medium.eps_edge[a] * e.data[a] for a in range(3)]),
+                  dual=True)
+    h = FormField(mesh, 1, np.stack([B.data[a] / medium.mu_face[a] for a in range(3)]),
+                  dual=True)
+    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy_density(D, B, medium))
+
+
+def assert_states_identical(actual, expected):
+    for name in ("D", "B", "e", "h", "energy"):
+        np.testing.assert_array_equal(getattr(actual, name).data,
+                                      getattr(expected, name).data, err_msg=name)
+
+
+@pytest.mark.parametrize("axis, polarization",
+                         [(a, p) for a in range(3) for p in range(3) if a != p])
+def test_plane_wave_matches_meshgrid_formula(axis, polarization):
+    medium = MediumProfile.sech_slab(MESH, 2.0, 1.5, 1.3)
+    dt = SchemeConfig.from_cfl(MESH, medium, cfl=0.5).dt
+    wavelength = MESH.extent[axis] / 2
+    amplitude = 0.7
+    state = plane_wave_state(MESH, medium, dt, axis, wavelength, polarization,
+                             amplitude=amplitude)
+
+    third, sigma = _axis_triplet(axis, polarization)
+    k = 2.0 * np.pi / wavelength
+    e_hat, b_hat = _eigenmode_amplitudes(dt, float(medium.eps.mean()),
+                                         float(medium.mu.mean()), k, MESH.spacing, sigma)
+    e = FormField.zeros(MESH, 1)
+    x = MESH.coords(e.offsets()[polarization])[axis]
+    e.data[polarization] = amplitude * np.real(e_hat * np.exp(1j * k * x))
+    B = FormField.zeros(MESH, 2)
+    x = MESH.coords(B.offsets()[third])[axis]
+    B.data[third] = amplitude * np.real(b_hat * np.exp(1j * k * x))
+    assert_states_identical(state, state_from_samples(MESH, medium, e, B))
+
+
+def test_gaussian_pulse_matches_meshgrid_formula():
+    medium = MediumProfile.sech_slab(MESH, 2.0, 1.5, 1.3)
+    center, width, amplitude = 2.5, 0.8, 1.2
+    state = gaussian_pulse_state(MESH, medium, center, width, amplitude=amplitude)
+
+    e = FormField.zeros(MESH, 1)
+    x = MESH.coords(e.offsets()[1])[0]
+    e.data[1] = amplitude * np.exp(-0.5 * ((x - center) / width) ** 2)
+    B = FormField.zeros(MESH, 2)
+    x = MESH.coords(B.offsets()[2])[0]
+    B.data[2] = amplitude * np.exp(-0.5 * ((x - center) / width) ** 2)
+    assert_states_identical(state, state_from_samples(MESH, medium, e, B))
