@@ -38,7 +38,6 @@ from .fiber import (
     contact_hamiltonian_density,
     energy_density,
     functional,
-    induction_from_intensity,
     phase_residuals,
 )
 
@@ -67,11 +66,36 @@ class CFLError(ValueError):
 
 
 class NonFiniteStateError(RuntimeError):
-    """A run produced non-finite fields; carries the step index."""
+    """A run produced non-finite fields, and where they first went bad.
 
-    def __init__(self, step):
-        super().__init__(f"non-finite fields at step {step}")
+    ``field`` names the first field with a non-finite entry, ``component``
+    is its component (None for a 0-form), ``cell`` the index (i, j, k) of
+    its first non-finite entry in C order, and ``step`` the step index.
+    """
+
+    def __init__(self, step, field, component, cell):
+        where = field if component is None else f"{field}[{component}]"
+        super().__init__(f"non-finite {where} at cell {cell}, step {step}")
         self.step = step
+        self.field = field
+        self.component = component
+        self.cell = cell
+
+
+def _first_nonfinite(step, fields):
+    """NonFiniteStateError at the first non-finite entry of ``(name, FormField)`` pairs.
+
+    The pairs are searched in order and each array in C order; the caller
+    has found that some entry is non-finite.
+    """
+    for name, field in fields:
+        bad = np.flatnonzero(~np.isfinite(field.data))
+        if bad.size:
+            index = tuple(int(i) for i in np.unravel_index(bad[0], field.data.shape))
+            if field.ncomp == 1:
+                return NonFiniteStateError(step, name, None, index)
+            return NonFiniteStateError(step, name, index[0], index[1:])
+    return NonFiniteStateError(step, "time", None, None)
 
 
 def cfl_limit(mesh, medium):
@@ -176,8 +200,7 @@ def _advance(base, scale, rate, weight=None):
     data = rate.data
     data *= scale
     if weight is not None:
-        for a in range(3):
-            data[a] /= weight[a]
+        data /= weight
     data += base.data
     return FormField(base.mesh, base.degree, data, base.dual)
 
@@ -199,56 +222,65 @@ def _centred_flux(e_old, e_new, h_old, h_new):
                                 (h_old.data, h_new.data))
 
 
+def _leapfrog(state, medium, cfg, curl_e=None):
+    """One leapfrog step in ``cfg``'s orientation, and the curl of its new e.
+
+    DB evolves (D, B) with plain curls and slaves e = star(D)/eps and
+    h = star(B)/mu; EH evolves (e, h) with the curls over eps and mu and
+    slaves D, B.  ``curl_e`` is exterior_derivative(state.e) when the
+    caller already has it, and the first half-step consumes its array.
+    The returned curl d(e_new) of the last half-step is left whole: it is
+    bit for bit the next step's first curl and, in DB, the curl of the
+    report's image star(D)/eps, which is e_new itself.
+    """
+    _check_cfl(state.mesh, medium, cfg.dt)
+    dt, mesh = cfg.dt, state.mesh
+    eps, mu = medium.eps_edge, medium.mu_face
+    if curl_e is None:
+        curl_e = exterior_derivative(state.e)
+    if cfg.orientation is Orientation.DB:
+        B_half = _advance(state.B, -0.5 * dt, curl_e)
+        h_mid = FormField(mesh, 1, B_half.data / mu, dual=True)
+        D_new = _advance(state.D, dt, exterior_derivative(h_mid))
+        e_new = FormField(mesh, 1, D_new.data / eps, dual=False)
+        curl_new = exterior_derivative(e_new)
+        # the second half-step goes into B_half's array, by way of h_mid's
+        kick = np.multiply(curl_new.data, -0.5 * dt, out=h_mid.data)
+        np.add(B_half.data, kick, out=B_half.data)
+        B_new = B_half
+        h_new = FormField(mesh, 1, np.divide(B_new.data, mu, out=kick), dual=True)
+    else:
+        h_half = _advance(state.h, -0.5 * dt, curl_e, mu)
+        e_new = _advance(state.e, dt, exterior_derivative(h_half), eps)
+        curl_new = exterior_derivative(e_new)
+        # the second half-step goes into h_half's array; its kick becomes B
+        kick = curl_new.data * (-0.5 * dt)
+        kick /= mu
+        np.add(h_half.data, kick, out=h_half.data)
+        h_new = h_half
+        D_new = FormField(mesh, 2, e_new.data * eps, dual=True)
+        B_new = FormField(mesh, 2, np.multiply(h_new.data, mu, out=kick), dual=False)
+    energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
+    return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new, energy=energy_new,
+                        time=state.time + dt), curl_new
+
+
 def step_induction(state, medium, cfg):
     """One leapfrog step evolving (D, B); e, h slaved via the constitutive maps."""
     if cfg.orientation is not Orientation.DB:
         raise ValueError("step_induction requires the DB orientation")
-    _check_cfl(state.mesh, medium, cfg.dt)
-    dt = cfg.dt
-
-    B_half = _advance(state.B, -0.5 * dt, exterior_derivative(state.e))
-    h_mid = FormField(
-        state.mesh,
-        1,
-        np.stack([B_half.data[a] / medium.mu_face[a] for a in range(3)]),
-        dual=True,
-    )
-    D_new = _advance(state.D, dt, exterior_derivative(h_mid))
-    e_new = FormField(
-        state.mesh,
-        1,
-        np.stack([D_new.data[a] / medium.eps_edge[a] for a in range(3)]),
-        dual=False,
-    )
-    B_new = _advance(B_half, -0.5 * dt, exterior_derivative(e_new))
-    h_new = FormField(
-        state.mesh,
-        1,
-        np.stack([B_new.data[a] / medium.mu_face[a] for a in range(3)]),
-        dual=True,
-    )
-    energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
-    return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new,
-                        energy=energy_new, time=state.time + dt)
+    return _leapfrog(state, medium, cfg)[0]
 
 
 def step_intensity(state, medium, cfg):
     """One leapfrog step evolving (e, h); D, B slaved via the constitutive maps."""
     if cfg.orientation is not Orientation.EH:
         raise ValueError("step_intensity requires the EH orientation")
-    _check_cfl(state.mesh, medium, cfg.dt)
-    dt = cfg.dt
-
-    h_half = _advance(state.h, -0.5 * dt, exterior_derivative(state.e), medium.mu_face)
-    e_new = _advance(state.e, dt, exterior_derivative(h_half), medium.eps_edge)
-    h_new = _advance(h_half, -0.5 * dt, exterior_derivative(e_new), medium.mu_face)
-    D_new, B_new = induction_from_intensity(e_new, h_new, medium)
-    energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
-    return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new,
-                        energy=energy_new, time=state.time + dt)
+    return _leapfrog(state, medium, cfg)[0]
 
 
-def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=None):
+def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=None,
+                    curl_e=None):
     """Energy-balance and constraint diagnostics between two reported states.
 
     The balance residual is the rate of change of the energy functional
@@ -262,6 +294,8 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
     when the caller already has it, as `run_scenario` has from the
     previous row; the phase residuals of ``s_next`` supply its energy
     density and constitutive images to the Hamiltonian density.
+    ``curl_e`` is d(star(D)/eps) of ``s_next`` when the caller has it, as
+    a DB run has from its last half-step; it is only read.
     """
     res = phase_residuals(s_next, medium, Orientation.DB)
     psi_next = functional(res.energy, region)
@@ -277,7 +311,7 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
             _centred_flux(s_prev.e, s_next.e, s_prev.h, s_next.h), region)
 
     density = contact_hamiltonian_density(s_next, medium, Orientation.DB, kappa,
-                                          residuals=res)
+                                          residuals=res, curl_e=curl_e)
     return DiagnosticsReport(
         time=s_next.time,
         psi_total=psi_next,
@@ -291,6 +325,13 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
     )
 
 
+def _check_finite(state, step):
+    """Raise NonFiniteStateError at the first non-finite entry of a reported state."""
+    if not state.is_finite():
+        raise _first_nonfinite(step, [(name, getattr(state, name))
+                                      for name in ("D", "B", "e", "h", "energy")])
+
+
 def run_scenario(initial, medium, cfg, sinks=()):
     """Step the configured orientation, reporting diagnostics every cadence.
 
@@ -298,20 +339,30 @@ def run_scenario(initial, medium, cfg, sinks=()):
     reported step (including step 0); snapshot stride logic belongs to the
     sink.  Returns the final state and the list of diagnostics rows.  Each
     report takes the previous row's ``psi_total`` as its ``psi_prev``.
+    A reported state with a non-finite entry, the initial one included,
+    raises `NonFiniteStateError`.
+
+    Each step's last curl d(e) feeds the next step's first half-step, and
+    in DB the report's curl of star(D)/eps, which is the same array bit for
+    bit; so a step runs `exterior_derivative` twice and a later DB report
+    three times.  Outputs equal those of `step_induction` or
+    `step_intensity` called once per step.
     """
-    stepper = step_induction if cfg.orientation is Orientation.DB else step_intensity
+    db = cfg.orientation is Orientation.DB
     state = initial
     prev_reported = initial
+    _check_finite(initial, 0)
     reports = [poynting_report(initial, initial, medium, kappa=cfg.kappa)]
     for sink in sinks:
         sink(initial, 0)
+    curl_e = None
     for k in range(1, cfg.steps + 1):
-        state = stepper(state, medium, cfg)
+        state, curl_e = _leapfrog(state, medium, cfg, curl_e)
         if k % cfg.cadence == 0 or k == cfg.steps:
-            if not state.is_finite():
-                raise NonFiniteStateError(k)
+            _check_finite(state, k)
             reports.append(poynting_report(prev_reported, state, medium, kappa=cfg.kappa,
-                                           psi_prev=reports[-1].psi_total))
+                                           psi_prev=reports[-1].psi_total,
+                                           curl_e=curl_e if db else None))
             prev_reported = state
             for sink in sinks:
                 sink(state, k)
@@ -359,20 +410,11 @@ def evolve_potential(A0, Adot0, medium, cfg):
     mesh = A0.mesh
 
     def curl_curl(A):
-        dA = exterior_derivative(A)
-        h_like = FormField(
-            mesh,
-            1,
-            np.stack([dA.data[a] / medium.mu_face[a] for a in range(3)]),
-            dual=True,
-        )
-        d2 = exterior_derivative(h_like)
-        return FormField(
-            mesh,
-            1,
-            np.stack([d2.data[a] / medium.eps_edge[a] for a in range(3)]),
-            dual=False,
-        )
+        h_like = exterior_derivative(A).data
+        h_like /= medium.mu_face
+        d2 = exterior_derivative(FormField(mesh, 1, h_like, dual=True)).data
+        d2 /= medium.eps_edge
+        return FormField(mesh, 1, d2, dual=False)
 
     A_prev = A0 - dt * Adot0
     A_curr = A0
@@ -381,8 +423,8 @@ def evolve_potential(A0, Adot0, medium, cfg):
     A_list = [A_curr]
     for k in range(1, cfg.steps + 1):
         A_next = 2.0 * A_curr - A_prev - (dt * dt) * curl_curl(A_curr)
-        if not np.all(np.isfinite(A_next.data)):
-            raise NonFiniteStateError(k)
+        if not np.isfinite(A_next.data).all():
+            raise _first_nonfinite(k, [("A", A_next)])
         e_list.append((-1.0 / dt) * (A_next - A_curr))
         B_list.append(exterior_derivative(A_next))
         A_list.append(A_next)

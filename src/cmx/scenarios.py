@@ -108,12 +108,8 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
     coords_b = _along(mesh, axis, B.offsets()[third])
     B.data[third] = amplitude * np.real(b_hat * np.exp(1j * k * coords_b))
 
-    D = FormField(
-        mesh, 2, np.stack([medium.eps_edge[a] * e.data[a] for a in range(3)]), dual=True
-    )
-    h = FormField(
-        mesh, 1, np.stack([B.data[a] / medium.mu_face[a] for a in range(3)]), dual=True
-    )
+    D = FormField(mesh, 2, medium.eps_edge * e.data, dual=True)
+    h = FormField(mesh, 1, B.data / medium.mu_face, dual=True)
     return MaxwellState(D=D, B=B, e=e, h=h,
                         energy=energy_density(D, B, medium), time=time)
 
@@ -130,12 +126,8 @@ def gaussian_pulse_state(mesh, medium, center, width, amplitude=1.0, time=0.0):
     x_b = _along(mesh, 0, B.offsets()[2])
     B.data[2] = amplitude * np.exp(-0.5 * ((x_b - center) / width) ** 2)
 
-    D = FormField(
-        mesh, 2, np.stack([medium.eps_edge[a] * e.data[a] for a in range(3)]), dual=True
-    )
-    h = FormField(
-        mesh, 1, np.stack([B.data[a] / medium.mu_face[a] for a in range(3)]), dual=True
-    )
+    D = FormField(mesh, 2, medium.eps_edge * e.data, dual=True)
+    h = FormField(mesh, 1, B.data / medium.mu_face, dual=True)
     return MaxwellState(D=D, B=B, e=e, h=h,
                         energy=energy_density(D, B, medium), time=time)
 

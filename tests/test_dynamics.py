@@ -7,6 +7,7 @@ from cmx import dynamics, fiber
 from cmx.dec import FormField, Mesh, difference_symbol, exterior_derivative
 from cmx.dynamics import (
     CFLError,
+    NonFiniteStateError,
     SchemeConfig,
     cfl_limit,
     evolve_potential,
@@ -20,6 +21,7 @@ from cmx.fiber import (
     MaxwellState,
     MediumProfile,
     Orientation,
+    contact_hamiltonian_density,
     energy_density,
     functional,
     induction_from_intensity,
@@ -288,16 +290,138 @@ class TestReportReuse:
             for module in (fiber, dynamics):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
+        for module in (fiber, dynamics):
+            monkeypatch.setattr(module, "exterior_derivative",
+                                counting("exterior_derivative", exterior_derivative))
 
         mesh = Mesh((8, 6, 4))
         medium = MediumProfile.sech_slab(mesh, 2.0, 1.0, 1.0)
-        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=6, cadence=2)
         initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
-        counts.clear()
-        _, reports = run_scenario(initial, medium, cfg)
-        assert counts == dict.fromkeys(
-            ("energy_density", "phase_residuals", "intensity_from_induction"),
-            len(reports))
+        for orientation in (Orientation.DB, Orientation.EH):
+            cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=6, cadence=2,
+                                        orientation=orientation)
+            counts.clear()
+            _, reports = run_scenario(initial, medium, cfg)
+            # a step curls twice once the first has handed its last curl on;
+            # a DB report after the first takes the step's curl of e
+            report_curls = 4 * len(reports)
+            if orientation is Orientation.DB:
+                report_curls -= len(reports) - 1
+            assert counts == {
+                **dict.fromkeys(
+                    ("energy_density", "phase_residuals", "intensity_from_induction"),
+                    len(reports)),
+                "exterior_derivative": 2 * cfg.steps + 1 + report_curls,
+            }
+
+
+def random_medium(mesh, rng):
+    return MediumProfile(mesh, 0.5 + rng.random(mesh.dims), 0.7 + rng.random(mesh.dims))
+
+
+def random_state(mesh, medium, rng, orientation):
+    """An on-shell state drawn from random evolved fields (not closed)."""
+    shape = (3, *mesh.dims)
+    if orientation is Orientation.DB:
+        D = FormField(mesh, 2, rng.standard_normal(shape), dual=True)
+        B = FormField(mesh, 2, rng.standard_normal(shape))
+        return MaxwellState.from_induction(D, B, medium)
+    e = FormField(mesh, 1, rng.standard_normal(shape))
+    h = FormField(mesh, 1, rng.standard_normal(shape), dual=True)
+    D, B = induction_from_intensity(e, h, medium)
+    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy_density(D, B, medium))
+
+
+STATE_FIELDS = ("D", "B", "e", "h", "energy")
+
+
+class TestCarriedCurl:
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("dims", [(12, 8, 10), (2, 2, 2), (16, 2, 3)])
+    def test_run_equals_public_steps_and_recomputed_reports(self, dims, orientation):
+        rng = np.random.default_rng(sum(dims))
+        mesh = Mesh(dims, spacing=0.7)
+        medium = random_medium(mesh, rng)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.9, steps=7, cadence=2,
+                                    orientation=orientation, kappa=1.5)
+        initial = random_state(mesh, medium, rng, orientation)
+        final, reports, seen = reported_run(initial, medium, cfg)
+
+        stepper = step_induction if orientation is Orientation.DB else step_intensity
+        state = initial
+        for _ in range(cfg.steps):
+            state = stepper(state, medium, cfg)
+        for name in STATE_FIELDS:
+            assert getattr(final, name).data.tobytes() == getattr(state, name).data.tobytes()
+        assert final.time == state.time
+
+        pairs = zip([seen[0]] + seen[:-1], seen)
+        oracle = [poynting_report(a, b, medium, kappa=cfg.kappa) for a, b in pairs]
+        assert [row_bits(r) for r in reports] == [row_bits(r) for r in oracle]
+
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    def test_zero_state_keeps_positive_zero_bits(self, mesh, vacuum, orientation):
+        cfg = SchemeConfig.from_cfl(mesh, vacuum, cfl=0.9, steps=3, orientation=orientation,
+                                    kappa=1.5)
+        final, reports = run_scenario(MaxwellState.zero(mesh), vacuum, cfg)
+        zero = (0.0).hex()
+        for row in reports:
+            assert row_bits(row)[1:] == [zero] * (len(row.FIELDS) - 1)  # all but time
+        curl = exterior_derivative(final.e)
+        for density in (contact_hamiltonian_density(final, vacuum, orientation, 1.5),
+                        contact_hamiltonian_density(final, vacuum, orientation, 1.5,
+                                                    curl_e=curl)):
+            assert not density.data.any()
+            assert not np.signbit(density.data).any()
+
+
+class TestNonFiniteState:
+    def nan_run(self, sinks):
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.sech_slab(mesh, 2.0, 1.0, 1.0)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=1, cadence=1)
+        initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        with pytest.raises(NonFiniteStateError) as info:
+            run_scenario(initial, medium, cfg, sinks=sinks)
+        return info.value, initial, medium, cfg
+
+    def test_names_the_first_bad_entry_after_a_step(self):
+        cell = (2, 5, 3, 1)
+
+        def plant(state, k):  # after the first report, which saw finite fields
+            state.B.data[cell] = np.nan
+
+        error, initial, medium, cfg = self.nan_run([plant])
+        after = step_induction(initial, medium, cfg)
+        name = next(n for n in STATE_FIELDS
+                    if not np.isfinite(getattr(after, n).data).all())
+        data = getattr(after, name).data
+        first = np.unravel_index(np.flatnonzero(~np.isfinite(data))[0], data.shape)
+        assert (error.step, error.field, error.component, error.cell) == (
+            1, name, first[0], tuple(first[1:]))
+        assert name == "D"
+
+    def test_names_a_bad_initial_entry(self):
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.vacuum(mesh)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=1)
+        state = MaxwellState.zero(mesh)
+        state.energy.data[4, 0, 3] = np.inf
+        with pytest.raises(NonFiniteStateError) as info:
+            run_scenario(state, medium, cfg)
+        error = info.value
+        assert (error.step, error.field, error.component, error.cell) == (
+            0, "energy", None, (4, 0, 3))
+
+    def test_potential_run_names_the_bad_entry(self, mesh, vacuum):
+        cfg = SchemeConfig.from_cfl(mesh, vacuum, cfl=0.5, steps=3)
+        Adot0 = FormField.zeros(mesh, 1)
+        Adot0.data[1, 6, 2, 7] = np.nan
+        with pytest.raises(NonFiniteStateError) as info:
+            evolve_potential(FormField.zeros(mesh, 1), Adot0, vacuum, cfg)
+        error = info.value
+        assert (error.step, error.field, error.component, error.cell) == (
+            1, "A", 1, (6, 2, 7))
 
 
 class TestPotentialOracle:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmx.contact import legendre_transform
-from cmx.dec import FormField, Mesh, Region
+from cmx.dec import FormField, Mesh, Region, component_offsets, resample
 from cmx.fiber import (
     MaxwellState,
     MediumProfile,
@@ -60,6 +60,24 @@ class TestMediumProfile:
             + np.roll(np.roll(medium.eps, 1, axis=1), 1, axis=2)
         )
         np.testing.assert_allclose(medium.eps_edge[0], manual)
+
+    @pytest.mark.parametrize("kind", ["random", "sech_slab"])
+    def test_staggered_media_are_stacked_resamples(self, kind):
+        mesh = Mesh((6, 5, 4), spacing=0.5)
+        if kind == "random":
+            rng = np.random.default_rng(4)
+            medium = MediumProfile(mesh, 0.5 + rng.random(mesh.dims),
+                                   0.7 + rng.random(mesh.dims))
+        else:
+            medium = MediumProfile.sech_slab(mesh, eps0=2.0, z30=0.8, mu0=1.5)
+        cell = (0.5, 0.5, 0.5)
+        for stored, values, degree in ((medium.eps_edge, medium.eps, 1),
+                                       (medium.mu_face, medium.mu, 2)):
+            assert isinstance(stored, np.ndarray)
+            assert stored.dtype == np.float64 and stored.shape == (3, *mesh.dims)
+            assert stored.flags.c_contiguous
+            for a, offset in enumerate(component_offsets(degree)):
+                assert stored[a].tobytes() == resample(values, cell, offset).tobytes()
 
 
 class TestEnergyDensities:
