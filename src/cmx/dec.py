@@ -17,8 +17,10 @@ one-cell difference minus 1/24 of the three-cell one, forward on the
 primal complex and backward on the dual one; `difference_symbol` is its
 Fourier symbol.  Products of forms (`wedge`, `resample`) move values with
 two-point means; the energy flux that pairs exactly with the four-point
-difference is `poynting_divergence`.  All factors of the grid spacing live
-in ``exterior_derivative``, ``poynting_divergence`` and ``integrate``.
+difference is `poynting_divergence`.  Every periodic shift, in the
+differences, the flux and the means alike, goes through one primitive,
+`_periodic`.  All factors of the grid spacing live in
+``exterior_derivative``, ``poynting_divergence`` and ``integrate``.
 
 2-form component ``a`` is the coefficient of sigma^b ^ sigma^c with
 (a, b, c) a cyclic permutation of (0, 1, 2).
@@ -252,10 +254,14 @@ _PERIODIC_PLANS = {}
 def _periodic(op, a, sa, b, sb, axis, out):
     """out_i = op(a_{i+sa}, b_{i+sb}) along ``axis``, with periodic indices.
 
-    One pass over the flattened arrays is right wherever neither shifted
-    index leaves [0, n); the few hyperplanes where one wraps are redone
-    from their periodic images.  ``a``, ``b`` and ``out`` are C-contiguous
-    arrays of one shape, and ``out`` overlaps neither input.
+    The module's one periodic shift: `_rows` calls it for the differences
+    of `exterior_derivative` and the flux of `poynting_divergence`, and
+    `_mean_half` for the two-point means of `resample` and the products
+    built on it.  One pass over the flattened arrays is right wherever
+    neither shifted index leaves [0, n); the few hyperplanes where one
+    wraps are redone from their periodic images.  The flat slices come
+    from ``a.strides``, so ``a``, ``b`` and ``out`` must be C-contiguous
+    arrays of one shape, and ``out`` must overlap neither input.
     """
     key = (a.shape, axis, sa, sb)
     plan = _PERIODIC_PLANS.get(key)
@@ -368,29 +374,36 @@ def _difference_parts(arr, axis, forward, rows, work, halo):
     return (one[1:rows + 1] if framed else one), third
 
 
-def _rolled(arr, shift, axis):
-    """np.roll(arr, shift, axis) for one axis, without np.roll's overhead."""
-    n = arr.shape[axis]
-    cut = (-shift) % n
-    lead = (slice(None),) * axis
-    return np.concatenate((arr[lead + (slice(cut, None),)], arr[lead + (slice(0, cut),)]),
-                          axis=axis)
-
-
-def _mean_half(arr, axis, src, dst):
-    """Two-point mean moving one component offset between 0 and 1/2."""
+def _mean_half(arr, axis, src, dst, out):
+    """Two-point mean moving one component offset between 0 and 1/2, into ``out``."""
     if dst > src:  # 0 -> 1/2, value centred at i + 1/2
-        return 0.5 * (arr + _rolled(arr, -1, axis))
-    return 0.5 * (_rolled(arr, 1, axis) + arr)  # 1/2 -> 0, centred at i
-
-
-def resample(arr, src_offset, dst_offset):
-    """Average an array from one staggered offset to another, axis by axis."""
-    out = arr
-    for ax in range(3):
-        if src_offset[ax] != dst_offset[ax]:
-            out = _mean_half(out, ax, src_offset[ax], dst_offset[ax])
+        _periodic(np.add, arr, 0, arr, 1, axis, out)
+    else:  # 1/2 -> 0, centred at i
+        _periodic(np.add, arr, -1, arr, 0, axis, out)
+    out *= 0.5
     return out
+
+
+def resample(arr, src_offset, dst_offset, out=None):
+    """Average an array from one staggered offset to another, axis by axis.
+
+    The last two-point mean lands in ``out`` if given (C-contiguous, not
+    overlapping ``arr``); with no axis to move, ``arr`` is returned or copied.
+    """
+    axes = [ax for ax in range(3) if src_offset[ax] != dst_offset[ax]]
+    if not axes:
+        if out is None:
+            return arr
+        np.copyto(out, arr)
+        return out
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if out is None:
+        out = np.empty(arr.shape)
+    # the means alternate between out and one spare, so the last lands in out
+    bufs = (out, np.empty(arr.shape) if len(axes) > 1 else None)
+    for k, ax in enumerate(axes):
+        arr = _mean_half(arr, ax, src_offset[ax], dst_offset[ax], bufs[(len(axes) - 1 - k) % 2])
+    return arr
 
 
 def exterior_derivative(alpha):
@@ -475,20 +488,27 @@ def _wedge_term(u, off_u, v, off_v, target):
     products stay two-point even though `exterior_derivative` is fourth
     order; `poynting_divergence` widens the one pairing that must match d).
     """
-    shared = []
-    for ax in range(3):
-        mis_u = off_u[ax] != target[ax]
-        mis_v = off_v[ax] != target[ax]
-        if mis_u and mis_v:
-            shared.append((ax, off_u[ax]))
-        elif mis_u:
-            u = _mean_half(u, ax, off_u[ax], target[ax])
-        elif mis_v:
-            v = _mean_half(v, ax, off_v[ax], target[ax])
-    prod = u * v
-    for ax, src in shared:
-        prod = _mean_half(prod, ax, src, target[ax])
+    shared = [ax for ax in range(3) if off_u[ax] != target[ax] and off_v[ax] != target[ax]]
+    mid = tuple(off_u[ax] if ax in shared else target[ax] for ax in range(3))
+    u, v = resample(u, off_u, mid), resample(v, off_v, mid)
+    # the product reuses a fresh mean's array, and the other mean is freed
+    prod = np.multiply(u, v, out=u if mid != off_u else v if mid != off_v else np.empty(u.shape))
+    del u, v
+    # the product's means alternate between its own array and one spare
+    spare = np.empty(prod.shape) if shared else None
+    for ax in shared:
+        prod, spare = _mean_half(prod, ax, mid[ax], target[ax], spare), prod
     return prod
+
+
+def _paired_sum(alpha, beta, degree):
+    """Sum over a of the products alpha_a beta_a, averaged onto a primal ``degree``-form."""
+    offs_a, offs_b = alpha.offsets(), beta.offsets()
+    target = _primal_offset(degree, 0)
+    total = np.zeros(alpha.mesh.dims)
+    for a in range(3):
+        total += _wedge_term(alpha.data[a], offs_a[a], beta.data[a], offs_b[a], target)
+    return FormField(alpha.mesh, degree, total, dual=False)
 
 
 def wedge(alpha, beta):
@@ -513,34 +533,23 @@ def wedge(alpha, beta):
         s_off = scal.offsets()[0]
         out = FormField.zeros(form.mesh, form.degree, form.dual)
         for c, off in enumerate(form.offsets()):
-            vals = resample(scal.data, s_off, off) * form.component(c)
-            if form.degree in (0, 3):
-                out.data[...] = vals
-            else:
-                out.data[c] = vals
+            np.multiply(resample(scal.data, s_off, off), form.component(c),
+                        out=out.component(c))
         return out
 
-    offs_a, offs_b = alpha.offsets(), beta.offsets()
     if qa == 1 and qb == 1:
+        offs_a, offs_b = alpha.offsets(), beta.offsets()
         out = FormField.zeros(alpha.mesh, 2, dual=False)
         for c in range(3):
             a, b = (c + 1) % 3, (c + 2) % 3
             target = _primal_offset(2, c)
-            out.data[c] = _wedge_term(
-                alpha.data[a], offs_a[a], beta.data[b], offs_b[b], target
-            ) - _wedge_term(
-                alpha.data[b], offs_a[b], beta.data[a], offs_b[a], target
-            )
+            np.subtract(_wedge_term(alpha.data[a], offs_a[a], beta.data[b], offs_b[b], target),
+                        _wedge_term(alpha.data[b], offs_a[b], beta.data[a], offs_b[a], target),
+                        out=out.data[c])
         return out
 
     if {qa, qb} == {1, 2}:
-        target = _primal_offset(3, 0)
-        total = np.zeros(alpha.mesh.dims)
-        for a in range(3):
-            total += _wedge_term(
-                alpha.data[a], offs_a[a], beta.data[a], offs_b[a], target
-            )
-        return FormField(alpha.mesh, 3, total, dual=False)
+        return _paired_sum(alpha, beta, 3)
 
     raise ValueError(f"unsupported wedge degree pair ({qa}, {qb})")
 
@@ -661,9 +670,4 @@ def inner_product_1forms(alpha, beta):
         raise ValueError("inner_product_1forms expects two 1-forms")
     if alpha.mesh != beta.mesh:
         raise ValueError("operands live on different meshes")
-    offs_a, offs_b = alpha.offsets(), beta.offsets()
-    target = (0.0, 0.0, 0.0)
-    total = np.zeros(alpha.mesh.dims)
-    for a in range(3):
-        total += _wedge_term(alpha.data[a], offs_a[a], beta.data[a], offs_b[a], target)
-    return FormField(alpha.mesh, 0, total, dual=False)
+    return _paired_sum(alpha, beta, 0)

@@ -66,7 +66,7 @@ def _staggered(cell_values, offsets):
     """The (3, N1, N2, N3) array of a cell-sampled field averaged onto each offset."""
     out = np.empty((3, *cell_values.shape))
     for a, offset in enumerate(offsets):
-        out[a] = resample(cell_values, _CELL, offset)
+        resample(cell_values, _CELL, offset, out=out[a])
     return out
 
 
@@ -108,10 +108,6 @@ class MediumProfile:
         centered = z3 - 0.5 * mesh.extent[2]
         eps = eps0 / np.cosh(centered / z30) ** 2
         return cls(mesh, eps.reshape(1, 1, -1), float(mu0))
-
-    def wave_speed_max(self):
-        """Fastest local signal speed 1/sqrt(eps*mu), cell-sampled."""
-        return float((1.0 / np.sqrt(self.eps * self.mu)).max())
 
 
 def _expect(field, degree, dual, name):

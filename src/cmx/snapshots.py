@@ -16,6 +16,9 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .dec import FormField, Mesh
@@ -65,6 +68,17 @@ def _header_line(fh, what):
     return line[:-1].decode("ascii", errors="replace")
 
 
+def _header_values(fh, key, count, parse):
+    """The ``count`` values of the header line that starts with ``key``."""
+    words = _header_line(fh, key).split()
+    if len(words) != count + 1 or words[0] != key:
+        raise SnapshotFormatError(f"malformed {key} line")
+    try:
+        return [parse(w) for w in words[1:]]
+    except ValueError:
+        raise SnapshotFormatError(f"malformed {key} line") from None
+
+
 def read_snapshot(path):
     """Read a CMX1 snapshot back into a MaxwellState."""
     with open(path, "rb") as fh:
@@ -73,24 +87,21 @@ def read_snapshot(path):
             raise SnapshotFormatError(
                 f"unsupported snapshot version {magic!r} (expected {MAGIC!r})"
             )
-        dims_line = _header_line(fh, "dims").split()
-        if len(dims_line) != 4 or dims_line[0] != "dims":
-            raise SnapshotFormatError("malformed dims line")
-        dims = tuple(int(v) for v in dims_line[1:])
-        spacing_line = _header_line(fh, "spacing").split()
-        if len(spacing_line) != 2 or spacing_line[0] != "spacing":
-            raise SnapshotFormatError("malformed spacing line")
-        spacing = float(spacing_line[1])
-        time_line = _header_line(fh, "time").split()
-        if len(time_line) != 2 or time_line[0] != "time":
-            raise SnapshotFormatError("malformed time line")
-        time = float(time_line[1])
+        dims = tuple(_header_values(fh, "dims", 3, int))
+        (spacing,) = _header_values(fh, "spacing", 1, float)
+        (time,) = _header_values(fh, "time", 1, float)
         fields_line = _header_line(fh, "fields").split()
         if fields_line != ["fields"] + [name for name, _, _ in _FIELD_SPECS]:
             raise SnapshotFormatError("unexpected field list")
 
-        mesh = Mesh(dims, spacing)
-        ncells = int(np.prod(dims))
+        try:
+            mesh = Mesh(dims, spacing)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"bad mesh in header: {exc}") from None
+        ncells = math.prod(dims)
+        # before any read, so a huge dims line cannot ask for more than the file holds
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 13 * ncells * 8:
+            raise SnapshotFormatError(f"truncated data blocks for dims {dims}")
         fields = {}
         for name, degree, dual in _FIELD_SPECS:
             ncomp = 3 if degree in (1, 2) else 1

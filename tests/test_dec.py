@@ -1,5 +1,8 @@
 """Staggered-grid exterior calculus: d, star, wedge, integration."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +11,18 @@ from cmx.dec import (
     FormField,
     Mesh,
     Region,
+    component_offsets,
     difference_symbol,
     exterior_derivative,
     hodge_star,
     inner_product_1forms,
     integrate,
     poynting_divergence,
+    resample,
     sample_form,
     wedge,
 )
-from cmx.fiber import pairing_density
+from cmx.fiber import MediumProfile, energy_density, pairing_density
 
 # meshes on which the four-point stencil wraps onto itself along some axis
 WRAPPING_MESHES = [(8, 8, 8), (2, 2, 2), (16, 2, 3)]
@@ -313,3 +318,119 @@ class TestInnerProduct:
         F = constant_2form(mesh, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             inner_product_1forms(a, F)
+
+
+# the two-point means written out with np.roll, one axis at a time in axis
+# order, as the independent oracle of resample and the products built on it
+OFFSETS = list(itertools.product((0.0, 0.5), repeat=3))
+
+
+def rolled_mean(x, ax, src, dst):
+    if dst > src:  # 0 -> 1/2
+        return 0.5 * (x + np.roll(x, -1, ax))
+    return 0.5 * (np.roll(x, 1, ax) + x)  # 1/2 -> 0
+
+
+def rolled_means(x, src, dst):
+    for ax in range(3):
+        if src[ax] != dst[ax]:
+            x = rolled_mean(x, ax, src[ax], dst[ax])
+    return x
+
+
+def rolled_term(u, off_u, v, off_v, target):
+    """Each factor meaned where it alone is off the target, then the product."""
+    shared = []
+    for ax in range(3):
+        if off_u[ax] != target[ax] and off_v[ax] != target[ax]:
+            shared.append(ax)
+        elif off_u[ax] != target[ax]:
+            u = rolled_mean(u, ax, off_u[ax], target[ax])
+        elif off_v[ax] != target[ax]:
+            v = rolled_mean(v, ax, off_v[ax], target[ax])
+    prod = u * v
+    for ax in shared:
+        prod = rolled_mean(prod, ax, off_u[ax], target[ax])
+    return prod
+
+
+def layouts(x):
+    """C-ordered, Fortran-ordered and strided-view copies of one array."""
+    wide = np.zeros((*x.shape[:-1], 2 * x.shape[-1]))
+    wide[..., ::2] = x
+    return {"C": x, "F": np.asfortranarray(x), "strided": wide[..., ::2]}
+
+
+class TestTwoPointMeans:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (16, 2, 3), (12, 8, 10)])
+    def test_resample_matches_rolled_means_bitwise(self, dims):
+        x = np.random.default_rng(sum(dims)).standard_normal(dims)
+        for layout, arr in layouts(x).items():
+            for src, dst in itertools.product(OFFSETS, OFFSETS):
+                got = resample(arr, src, dst)
+                assert got.tobytes() == rolled_means(x, src, dst).tobytes(), (layout, src, dst)
+                out = np.empty(dims)
+                assert resample(arr, src, dst, out=out) is out
+                assert out.tobytes() == got.tobytes(), (layout, src, dst)
+
+    @pytest.mark.parametrize("dual_a,dual_b", list(itertools.product((False, True), repeat=2)))
+    def test_products_match_rolled_means_bitwise(self, dual_a, dual_b):
+        dims = (12, 8, 10)
+        rng = np.random.default_rng(5)
+        m = Mesh(dims)
+        a_data, b_data = (rng.standard_normal((3, *dims)) for _ in range(2))
+        offs_a, offs_b = component_offsets(1, dual_a), component_offsets(1, dual_b)
+        for layout, data in layouts(a_data).items():
+            a, b = FormField(m, 1, data, dual_a), FormField(m, 1, b_data, dual_b)
+            expected = np.zeros((3, *dims))
+            for c in range(3):
+                i, j = (c + 1) % 3, (c + 2) % 3
+                target = component_offsets(2)[c]
+                expected[c] = (rolled_term(a_data[i], offs_a[i], b_data[j], offs_b[j], target)
+                               - rolled_term(a_data[j], offs_a[j], b_data[i], offs_b[i], target))
+            assert wedge(a, b).data.tobytes() == expected.tobytes(), layout
+            expected = np.zeros(dims)
+            for c in range(3):
+                expected += rolled_term(a_data[c], offs_a[c], b_data[c], offs_b[c], (0.0,) * 3)
+            assert inner_product_1forms(a, b).data.tobytes() == expected.tobytes(), layout
+
+
+class TestMemoryPeaks:
+    """Traced peaks, in whole field arrays, of the products and the media."""
+
+    DIMS = (32, 32, 32)
+
+    @staticmethod
+    def peak_arrays(call):
+        call()  # the shift plans are memoised on the first call
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * np.prod(TestMemoryPeaks.DIMS))
+
+    @pytest.mark.parametrize("name,arrays", [
+        ("wedge_1_1", 6), ("wedge_1_2", 3), ("inner_product", 3), ("energy_density", 4),
+        ("medium", 8),
+    ])
+    def test_peak_stays_pinned(self, name, arrays):
+        rng = np.random.default_rng(6)
+        m = Mesh(self.DIMS)
+
+        def field(degree, dual=False):
+            return FormField(m, degree, rng.standard_normal((3, *self.DIMS)), dual)
+
+        e, e2, B, D = field(1), field(1), field(2), field(2, dual=True)
+        eps, mu = 1.0 + rng.random(self.DIMS), 1.0 + rng.random(self.DIMS)
+        medium = MediumProfile(m, eps, mu)
+        calls = {
+            "wedge_1_1": lambda: wedge(e, e2),
+            "wedge_1_2": lambda: wedge(e, B),
+            "inner_product": lambda: inner_product_1forms(e, e2),
+            "energy_density": lambda: energy_density(D, B, medium),
+            "medium": lambda: MediumProfile(m, eps, mu),
+        }
+        # the outputs count; scratch below half an array (plane buffers) does not
+        assert self.peak_arrays(calls[name]) < arrays + 0.5

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cmx.cli import main
 from cmx.config import ConfigError, parse_config
@@ -58,6 +59,43 @@ class TestSnapshots:
         clipped.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(SnapshotFormatError, match="truncated"):
             read_snapshot(clipped)
+
+    @pytest.mark.parametrize("line,bad", [
+        (b"dims 2 2 2", b"dims 2 2 x"),
+        (b"spacing 1.0", b"spacing 1.x"),
+        (b"time 0.0", b"time 0.q"),
+        (b"dims 2 2 2", b"dims 2 2 -2"),
+        (b"spacing 1.0", b"spacing -1.0"),
+        (b"dims 2 2 2", b"dims 2 2 99999999999"),  # checked before any block is read
+    ])
+    def test_malformed_header_is_a_format_error(self, tmp_path, line, bad):
+        path = tmp_path / "tiny.cmx"
+        write_snapshot(MaxwellState.zero(Mesh((2, 2, 2))), path)
+        raw = path.read_bytes()
+        assert raw.count(line + b"\n") == 1
+        path.write_bytes(raw.replace(line + b"\n", bad + b"\n"))
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_files_raise_only_format_errors(self, tmp_path, data):
+        path = tmp_path / "state.cmx"
+        write_snapshot(random_state(), path)
+        raw = path.read_bytes()
+        header = len(b"".join(raw.split(b"\n", 5)[:5])) + 5
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, header - 1), label="position")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+            raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+        path.write_bytes(raw)
+        try:
+            read_snapshot(path)
+        except SnapshotFormatError:
+            pass
 
 
 class TestConfig:
