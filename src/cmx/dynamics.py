@@ -34,9 +34,7 @@ from .dec import (
 from .fiber import (
     MaxwellState,
     Orientation,
-    coenergy_density,
     contact_hamiltonian_density,
-    energy_density,
     functional,
     phase_residuals,
 )
@@ -230,8 +228,7 @@ def _leapfrog(state, medium, cfg, curl_e=None):
     slaves D, B.  ``curl_e`` is exterior_derivative(state.e) when the
     caller already has it, and the first half-step consumes its array.
     The returned curl d(e_new) of the last half-step is left whole: it is
-    bit for bit the next step's first curl and, in DB, the curl of the
-    report's image star(D)/eps, which is e_new itself.
+    bit for bit the next step's first curl.
     """
     _check_cfl(state.mesh, medium, cfg.dt)
     dt, mesh = cfg.dt, state.mesh
@@ -280,7 +277,7 @@ def step_intensity(state, medium, cfg):
 
 
 def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=None,
-                    curl_e=None):
+                    orientation=Orientation.DB):
     """Energy-balance and constraint diagnostics between two reported states.
 
     The balance residual is the rate of change of the energy functional
@@ -290,18 +287,21 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
     the whole periodic domain the divergence integral is identically zero
     (discrete Stokes), so the residual is the pure drift rate.
 
-    ``psi_prev`` is the energy functional of ``s_prev`` over ``region``
-    when the caller already has it, as `run_scenario` has from the
-    previous row; the phase residuals of ``s_next`` supply its energy
-    density and constitutive images to the Hamiltonian density.
-    ``curl_e`` is d(star(D)/eps) of ``s_next`` when the caller has it, as
-    a DB run has from its last half-step; it is only read.
+    Residuals, energy and Hamiltonian density are measured in
+    ``orientation``, which `run_scenario` sets to the run's own: DB reads
+    psi from energy_density(D, B) and the field residuals as 1-forms, EH
+    reads psi from pairing - co-energy and the field residuals D - eps e,
+    B - mu h as 2-forms.  ``psi_prev`` is the energy functional of
+    ``s_prev`` over ``region`` in that orientation when the caller already
+    has it, as `run_scenario` has from the previous row; the phase
+    residuals of ``s_next`` supply its energy density, co-energy density
+    and constitutive images to the rest of the report.
     """
-    res = phase_residuals(s_next, medium, Orientation.DB)
+    res = phase_residuals(s_next, medium, orientation)
     psi_next = functional(res.energy, region)
     if psi_prev is None:
         psi_prev = psi_next if s_prev is s_next else functional(
-            energy_density(s_prev.D, s_prev.B, medium), region)
+            phase_residuals(s_prev, medium, orientation).energy, region)
     dt = s_next.time - s_prev.time
     rate = (psi_next - psi_prev) / dt if dt != 0 else 0.0
     if region.is_whole or dt == 0:
@@ -310,12 +310,12 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
         flux = 0.25 * integrate(
             _centred_flux(s_prev.e, s_next.e, s_prev.h, s_next.h), region)
 
-    density = contact_hamiltonian_density(s_next, medium, Orientation.DB, kappa,
-                                          residuals=res, curl_e=curl_e)
+    density = contact_hamiltonian_density(s_next, medium, orientation, kappa,
+                                          residuals=res)
     return DiagnosticsReport(
         time=s_next.time,
         psi_total=psi_next,
-        phi_total=functional(coenergy_density(s_next.e, s_next.h, medium), region),
+        phi_total=functional(res.coenergy, region),
         div_D_max=float(np.abs(exterior_derivative(s_next.D).data).max()),
         div_B_max=float(np.abs(exterior_derivative(s_next.B).data).max()),
         constitutive_residual_max=res.constitutive_max(),
@@ -342,17 +342,18 @@ def run_scenario(initial, medium, cfg, sinks=()):
     A reported state with a non-finite entry, the initial one included,
     raises `NonFiniteStateError`.
 
-    Each step's last curl d(e) feeds the next step's first half-step, and
-    in DB the report's curl of star(D)/eps, which is the same array bit for
-    bit; so a step runs `exterior_derivative` twice and a later DB report
-    three times.  Outputs equal those of `step_induction` or
-    `step_intensity` called once per step.
+    Each step's last curl d(e) feeds the next step's first half-step, so a
+    step runs `exterior_derivative` twice.  Each report is measured in the
+    run's orientation, where the stepped states' constitutive residuals
+    are exactly zero, so a later report runs it twice (div D, div B).
+    Outputs equal those of `step_induction` or `step_intensity` called
+    once per step.
     """
-    db = cfg.orientation is Orientation.DB
     state = initial
     prev_reported = initial
     _check_finite(initial, 0)
-    reports = [poynting_report(initial, initial, medium, kappa=cfg.kappa)]
+    reports = [poynting_report(initial, initial, medium, kappa=cfg.kappa,
+                               orientation=cfg.orientation)]
     for sink in sinks:
         sink(initial, 0)
     curl_e = None
@@ -362,7 +363,7 @@ def run_scenario(initial, medium, cfg, sinks=()):
             _check_finite(state, k)
             reports.append(poynting_report(prev_reported, state, medium, kappa=cfg.kappa,
                                            psi_prev=reports[-1].psi_total,
-                                           curl_e=curl_e if db else None))
+                                           orientation=cfg.orientation))
             prev_reported = state
             for sink in sinks:
                 sink(state, k)

@@ -266,6 +266,7 @@ class PhaseResiduals:
     ``images`` are the evolved pair's constitutive images, both as formed
     for the residuals: DB keeps energy_density(D, B) and (star(D)/eps,
     star(B)/mu); EH keeps pairing - co-energy and (eps star(e), mu star(h)).
+    ``coenergy`` is coenergy_density(e, h) in both orientations.
     """
 
     orientation: Orientation
@@ -274,6 +275,7 @@ class PhaseResiduals:
     delta_Bh: FormField
     energy: FormField
     images: tuple
+    coenergy: FormField
 
     def max_abs(self):
         return max(
@@ -296,6 +298,7 @@ def phase_residuals(state, medium, orientation):
     field residuals as 1-forms.  EH: (pairing - co-energy - energy,
     D - eps star(e), B - mu star(h)) with the field residuals as 2-forms.
     """
+    coenergy = coenergy_density(state.e, state.h, medium)
     if orientation is Orientation.DB:
         e_c, h_c = intensity_from_induction(state.D, state.B, medium)
         energy = energy_density(state.D, state.B, medium)
@@ -306,10 +309,10 @@ def phase_residuals(state, medium, orientation):
             delta_Bh=h_c - state.h,
             energy=energy,
             images=(e_c, h_c),
+            coenergy=coenergy,
         )
     D_c, B_c = induction_from_intensity(state.e, state.h, medium)
-    energy = (pairing_density(state.D, state.B, state.e, state.h)
-              - coenergy_density(state.e, state.h, medium))
+    energy = pairing_density(state.D, state.B, state.e, state.h) - coenergy
     return PhaseResiduals(
         orientation=orientation,
         delta_energy=energy - state.energy,
@@ -317,11 +320,11 @@ def phase_residuals(state, medium, orientation):
         delta_Bh=state.B - B_c,
         energy=energy,
         images=(D_c, B_c),
+        coenergy=coenergy,
     )
 
 
-def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals=None,
-                                curl_e=None):
+def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals=None):
     """Density whose volume functional generates the restricted dynamics.
 
     Sum of the Hodge duals of the constitutive residuals wedged with the
@@ -329,14 +332,16 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals
     kappa times the energy residual.  Identically zero (to rounding) on
     states satisfying the constitutive and energy relations.
     ``residuals`` may hand in ``phase_residuals(state, medium,
-    orientation)`` when the caller has already formed them, and ``curl_e``
-    the curl of the electric 1-form the density differentiates: d(e_c) of
-    the image e_c = star(D)/eps in DB, d(e) in EH.  ``curl_e`` is only read.
+    orientation)`` when the caller has already formed them.
 
-    The velocity factor of B is minus a curl; its term is subtracted
-    rather than wedged with a negated copy, which gives the same bits.
-    The D term is finished before the second curl is formed, and the star
-    of each 3-form is the 0-form with the same array.
+    The sum starts from +0.0, and a residual without a nonzero entry adds
+    nothing, so its curl is not formed: on a run's reported states, whose
+    constitutive residuals are exactly zero in the run's own orientation,
+    the density is kappa times the energy residual.  Off-shell states go
+    through the full formula.  The velocity factor of B is minus a curl;
+    its term is subtracted rather than wedged with a negated copy, which
+    gives the same bits.  The star of each 3-form is the 0-form with the
+    same array.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -344,22 +349,21 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals
         residuals = phase_residuals(state, medium, orientation)
     elif residuals.orientation is not orientation:
         raise ValueError("residuals were formed for the other orientation")
-    if orientation is Orientation.DB:
-        e_c, h_c = residuals.images
+    db = orientation is Orientation.DB
+    # DB curls the images star(D)/eps and star(B)/mu, EH the evolved intensities
+    e_c, h_c = residuals.images if db else (state.e, state.h)
+    density = np.zeros(medium.mesh.dims)
+    if residuals.delta_De.data.any():
         F_De = exterior_derivative(h_c)
-    else:
-        e_c = state.e  # EH curls the evolved intensity itself
-        F_De = FormField(medium.mesh, 1, exterior_derivative(state.h).data / medium.eps_edge,
-                         dual=False)
-    density = wedge(residuals.delta_De, F_De).data
-    del F_De
-    if curl_e is None:
-        curl_e = exterior_derivative(e_c)
-    if orientation is Orientation.DB:
-        minus_F_Bh = curl_e
-    else:
-        minus_F_Bh = FormField(medium.mesh, 1, curl_e.data / medium.mu_face, dual=True)
-    density -= wedge(residuals.delta_Bh, minus_F_Bh).data
+        if not db:
+            F_De = FormField(medium.mesh, 1, F_De.data / medium.eps_edge, dual=False)
+        density += wedge(residuals.delta_De, F_De).data
+        del F_De  # the D term is finished before the second curl is formed
+    if residuals.delta_Bh.data.any():
+        minus_F_Bh = exterior_derivative(e_c)
+        if not db:
+            minus_F_Bh = FormField(medium.mesh, 1, minus_F_Bh.data / medium.mu_face, dual=True)
+        density -= wedge(residuals.delta_Bh, minus_F_Bh).data
     density += kappa * residuals.delta_energy.data
     return FormField(medium.mesh, 0, density, dual=True)
 

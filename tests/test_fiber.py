@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from cmx.contact import legendre_transform
-from cmx.dec import FormField, Mesh, Region, component_offsets, resample
+from cmx.dec import (
+    FormField,
+    Mesh,
+    Region,
+    component_offsets,
+    exterior_derivative,
+    resample,
+    wedge,
+)
+from cmx.dynamics import SchemeConfig, run_scenario
 from cmx.fiber import (
     MaxwellState,
     MediumProfile,
@@ -19,6 +28,7 @@ from cmx.fiber import (
     pairing_density,
     phase_residuals,
 )
+from cmx.scenarios import gaussian_pulse_state, plane_wave_state
 
 
 @pytest.fixture
@@ -235,6 +245,93 @@ class TestContactHamiltonianDensity:
         state, medium = random_onshell_state(mesh, np.random.default_rng(9))
         with pytest.raises(ValueError):
             contact_hamiltonian_density(state, medium, Orientation.DB, kappa=0.0)
+
+
+def written_out_density(state, medium, orientation, kappa):
+    """wedge(dDe, F_De) - wedge(dBh, -F_Bh) + kappa dE, every factor formed
+    from its definition; returns the density array and whether the D and
+    B residuals have a nonzero entry."""
+    mesh = medium.mesh
+    D, B, e, h = state.D.data, state.B.data, state.e.data, state.h.data
+    eps, mu = medium.eps_edge, medium.mu_face
+    if orientation is Orientation.DB:
+        e_c = FormField(mesh, 1, D / eps)
+        h_c = FormField(mesh, 1, B / mu, dual=True)
+        dDe = FormField(mesh, 1, e_c.data - e)
+        dBh = FormField(mesh, 1, h_c.data - h, dual=True)
+        dE = energy_density(state.D, state.B, medium).data - state.energy.data
+        F_De = exterior_derivative(h_c)
+        minus_F_Bh = exterior_derivative(e_c)
+    else:
+        dDe = FormField(mesh, 2, D - e * eps, dual=True)
+        dBh = FormField(mesh, 2, B - h * mu)
+        dE = (pairing_density(state.D, state.B, state.e, state.h).data
+              - coenergy_density(state.e, state.h, medium).data) - state.energy.data
+        F_De = FormField(mesh, 1, exterior_derivative(state.h).data / eps)
+        minus_F_Bh = FormField(mesh, 1, exterior_derivative(state.e).data / mu, dual=True)
+    density = wedge(dDe, F_De).data - wedge(dBh, minus_F_Bh).data + kappa * dE
+    return density, dDe.data.any(), dBh.data.any()
+
+
+def random_state_with_residuals(mesh, rng, orientation, off_shell):
+    """A random heterogeneous medium and a state on the orientation's phase
+    space, with noise added to the slaved fields named in ``off_shell``
+    (a subset of "De", "Bh") and to the energy coordinate."""
+    medium = MediumProfile(mesh, 0.5 + rng.random(mesh.dims), 0.7 + rng.random(mesh.dims))
+    shape = (3, *mesh.dims)
+    if orientation is Orientation.DB:
+        D = FormField(mesh, 2, rng.standard_normal(shape), dual=True)
+        B = FormField(mesh, 2, rng.standard_normal(shape))
+        e, h = intensity_from_induction(D, B, medium)
+        slaved = {"De": e, "Bh": h}
+    else:
+        e = FormField(mesh, 1, rng.standard_normal(shape))
+        h = FormField(mesh, 1, rng.standard_normal(shape), dual=True)
+        D, B = induction_from_intensity(e, h, medium)
+        slaved = {"De": D, "Bh": B}
+    for name in off_shell:
+        slaved[name].data[...] += 1e-3 * rng.standard_normal(shape)
+    energy = energy_density(D, B, medium)
+    energy.data[...] += 1e-3 * rng.standard_normal(mesh.dims)
+    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy), medium
+
+
+class TestDensityAgainstWrittenOutFormula:
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("off_shell", [("De", "Bh"), ("De",), ("Bh",), ()])
+    def test_matches_full_formula(self, orientation, off_shell):
+        mesh = Mesh((6, 5, 4), spacing=0.7)
+        rng = np.random.default_rng(20)
+        state, medium = random_state_with_residuals(mesh, rng, orientation, off_shell)
+        kappa = 1.5
+        expected, De_nonzero, Bh_nonzero = written_out_density(state, medium,
+                                                               orientation, kappa)
+        assert (De_nonzero, Bh_nonzero) == ("De" in off_shell, "Bh" in off_shell)
+        dens = contact_hamiltonian_density(state, medium, orientation, kappa)
+        assert np.array_equal(dens.data, expected)
+        expected_form = FormField(mesh, 0, expected, dual=True)
+        assert functional(dens).hex() == functional(expected_form).hex()
+
+
+class TestOwnOrientationRuns:
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("preset", ["gaussian_pulse", "plane_wave"])
+    def test_stepped_rows_have_exactly_zero_constitutive_residual(self, orientation,
+                                                                  preset):
+        mesh = Mesh((12, 8, 10), spacing=0.5)
+        rng = np.random.default_rng(12)
+        medium = MediumProfile(mesh, 1.0 + 2.0 * rng.random(mesh.dims),
+                               1.0 + rng.random(mesh.dims))
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.9, steps=6, cadence=1,
+                                    orientation=orientation, kappa=1.5)
+        if preset == "gaussian_pulse":
+            initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        else:
+            initial = plane_wave_state(mesh, medium, cfg.dt, axis=2, wavelength=2.5,
+                                       polarization=0)
+        _, reports = run_scenario(initial, medium, cfg)
+        assert len(reports) == cfg.steps + 1
+        assert [r.constitutive_residual_max for r in reports[1:]] == [0.0] * cfg.steps
 
 
 class TestEnergyQuadratic:

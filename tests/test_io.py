@@ -98,6 +98,27 @@ class TestSnapshots:
             pass
 
 
+CONFIG_KEYS = ("grid.dims", "grid.spacing", "medium.preset", "initial.preset",
+               "scheme.orientation", "scheme.cfl", "scheme.steps", "scheme.cadence",
+               "scheme.kappa", "outputs.directory", "outputs.snapshot_stride", "run.seed")
+CONFIG_WORDS = ("vacuum", "uniform", "sech_slab", "zero", "plane_wave", "gaussian_pulse",
+                "DB", "EH", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+                "0", "-0", "1", "2", "3", "0.5", "-1", "1_0", "0x10", "9" * 400,
+                str(2 ** 64), str(-(2 ** 63)))
+config_word = st.one_of(
+    st.sampled_from(CONFIG_WORDS),
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30).map(str),
+    st.floats().map(repr),
+    st.text(st.characters(blacklist_characters="#=", blacklist_categories=("Zl", "Zp", "Cc")),
+            min_size=1, max_size=6),
+)
+config_line = st.one_of(
+    st.builds(lambda key, words: f"{key} = {' '.join(words)}",
+              st.sampled_from(CONFIG_KEYS), st.lists(config_word, max_size=6)),
+    st.text(max_size=30),
+)
+
+
 class TestConfig:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config("grid.dims = 32 32 32\n")
@@ -149,6 +170,19 @@ class TestConfig:
     def test_cfl_window(self):
         with pytest.raises(ConfigError):
             parse_config("scheme.cfl = 1.5\n")
+
+    @given(st.lists(config_line, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_text_parses_or_raises_config_error(self, lines):
+        text = "\n".join(lines)
+        try:
+            cfg = parse_config(text)
+        except ConfigError as err:
+            count = len(text.splitlines())
+            assert err.errors
+            assert all(1 <= lineno <= count for lineno, _ in err.errors)
+        else:
+            assert parse_config(cfg.to_text()) == cfg
 
 
 class TestTimeseries:
