@@ -10,8 +10,9 @@ energy coordinate.  Field placement on the staggered complex:
     h  dual 1-form    (arrays collocated with B on faces)
     energy  dual 0-form (cell centers)
 
-Permittivity and permeability are cell-sampled and averaged onto edge and
-face centers, so both constitutive maps are diagonal per component.  The
+Permittivity and permeability are cell-sampled, stored only along the axes
+they vary on, and averaged onto edge and face centers, so both constitutive
+maps are diagonal per component.  The
 energy and co-energy densities are quadratic, strictly convex functions of
 the respective six field components; their cell values use the same edge
 and face averaging as the Poynting pairing in `cmx.dynamics`, which makes
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 _CELL = (0.5, 0.5, 0.5)
+_MEAN_SAFE = np.finfo(float).max / 2  # a two-point mean of values up to this is finite
 
 
 class Orientation(Enum):
@@ -63,35 +65,55 @@ class Orientation(Enum):
 
 
 def _staggered(cell_values, offsets):
-    """The (3, N1, N2, N3) array of a cell-sampled field averaged onto each offset."""
+    """The (3, *shape) array of a cell-sampled field averaged onto each offset.
+
+    Length-1 axes are skipped: there (x + x) * 0.5 is x for |x| <= _MEAN_SAFE."""
     out = np.empty((3, *cell_values.shape))
     for a, offset in enumerate(offsets):
+        offset = tuple(o if n > 1 else c for o, c, n in zip(offset, _CELL, cell_values.shape))
         resample(cell_values, _CELL, offset, out=out[a])
     return out
+
+
+def _compact(mesh, values, name):
+    """``values`` right-aligned to 3-D as float64, kept at length 1 on each
+    axis it was given at length 1 on; ValueError names a bad dtype or shape."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    shape = (1,) * (3 - arr.ndim) + arr.shape
+    if len(shape) != 3 or any(n not in (1, m) for n, m in zip(shape, mesh.dims)):
+        raise ValueError(f"{name} of shape {arr.shape} does not broadcast "
+                         f"to the mesh dims {mesh.dims}")
+    arr = arr.reshape(shape).astype(float)
+    if not (np.abs(arr) <= _MEAN_SAFE).all():  # NaN compares False
+        raise ValueError(f"{name} has non-finite entries or entries above {_MEAN_SAFE:.4g}, "
+                         "whose staggered means overflow")
+    return arr
 
 
 class MediumProfile:
     """Strictly positive permittivity and permeability sampled per cell.
 
-    ``eps_edge`` and ``mu_face`` hold them averaged onto the edges and the
-    faces as (3, N1, N2, N3) arrays, collocated with the 1-form and 2-form
-    components they weight, so each constitutive map is one broadcast.
+    ``eps`` and ``mu`` read as (N1, N2, N3) arrays and ``eps_edge`` and
+    ``mu_face`` as (3, N1, N2, N3) ones: their averages onto the edges and
+    faces, collocated with the 1-form and 2-form components they weight, so
+    each constitutive map is one broadcast.  All four are read-only
+    broadcast views of arrays kept only along the axes the input varies on
+    (a scalar keeps (3, 1, 1, 1) staggered values, a (1, 1, N3) slab
+    (3, 1, 1, N3)); the input's shape decides, not its values.
     """
 
     def __init__(self, mesh, eps, mu):
-        eps = np.broadcast_to(np.asarray(eps, dtype=float), mesh.dims).copy()
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), mesh.dims).copy()
-        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(mu))):
-            raise ValueError("medium has non-finite entries")
-        self.eps_min = float(eps.min())
-        self.mu_min = float(mu.min())
-        if self.eps_min <= 0 or self.mu_min <= 0:
+        eps, mu = _compact(mesh, eps, "eps"), _compact(mesh, mu, "mu")
+        eps_min, mu_min = float(eps.min()), float(mu.min())
+        if eps_min <= 0 or mu_min <= 0:
             raise ValueError("permittivity and permeability must be strictly positive")
-        self.mesh = mesh
-        self.eps = eps
-        self.mu = mu
-        self.eps_edge = _staggered(eps, component_offsets(1))
-        self.mu_face = _staggered(mu, component_offsets(2))
+        edge, face = _staggered(eps, component_offsets(1)), _staggered(mu, component_offsets(2))
+        self.mesh, self.eps_min, self.mu_min = mesh, eps_min, mu_min
+        self.eps, self.mu = np.broadcast_to(eps, mesh.dims), np.broadcast_to(mu, mesh.dims)
+        self.eps_edge = np.broadcast_to(edge, (3, *mesh.dims))
+        self.mu_face = np.broadcast_to(face, (3, *mesh.dims))
 
     @classmethod
     def vacuum(cls, mesh):
@@ -99,7 +121,9 @@ class MediumProfile:
 
     @classmethod
     def uniform(cls, mesh, eps, mu):
-        return cls(mesh, float(eps), float(mu))
+        if np.ndim(eps) or np.ndim(mu):
+            raise ValueError("a uniform medium takes scalar eps and mu")
+        return cls(mesh, eps, mu)
 
     @classmethod
     def sech_slab(cls, mesh, eps0, z30, mu0):

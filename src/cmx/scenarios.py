@@ -85,8 +85,9 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
     ``axis`` is the propagation direction and ``polarization`` the axis of
     the electric intensity (0-based); the wavelength must divide the
     periodic extent along ``axis``.  The eigenmode amplitudes use the mean
-    permittivity and permeability, so in a uniform medium the wave is the
-    exact eigenmode of the stepper run with this ``dt``.
+    permittivity and permeability, each summed as one flat run of cells (a
+    3-D broadcast view would sum in another order), so in a uniform medium
+    the wave is the exact eigenmode of the stepper run with this ``dt``.
     """
     extent = mesh.extent[axis]
     mode = extent / wavelength
@@ -96,8 +97,8 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
         )
     third, sigma = _axis_triplet(axis, polarization)
     k = 2.0 * np.pi / wavelength
-    eps = float(medium.eps.mean())
-    mu = float(medium.mu.mean())
+    eps = float(medium.eps.reshape(-1).mean())
+    mu = float(medium.mu.reshape(-1).mean())
     e_hat, b_hat = _eigenmode_amplitudes(dt, eps, mu, k, mesh.spacing, sigma)
 
     e = FormField.zeros(mesh, 1)

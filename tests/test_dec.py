@@ -434,3 +434,16 @@ class TestMemoryPeaks:
         }
         # the outputs count; scratch below half an array (plane buffers) does not
         assert self.peak_arrays(calls[name]) < arrays + 0.5
+
+    @pytest.mark.parametrize("preset,arrays", [
+        ("vacuum", 0.01), ("uniform", 0.01), ("sech_slab", 0.1),
+    ])
+    def test_compact_media_stay_below_a_field_array(self, preset, arrays):
+        # media are stored only along the axes they vary on
+        m = Mesh(self.DIMS)
+        build = {
+            "vacuum": lambda: MediumProfile.vacuum(m),
+            "uniform": lambda: MediumProfile.uniform(m, 2.0, 3.0),
+            "sech_slab": lambda: MediumProfile.sech_slab(m, 2.0, 8.0, 1.0),
+        }[preset]
+        assert self.peak_arrays(build) < arrays

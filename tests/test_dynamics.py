@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmx import dynamics, fiber
 from cmx.dec import FormField, Mesh, difference_symbol, exterior_derivative
@@ -487,3 +488,69 @@ class TestVectorPotentialSolver:
         B.data[0] += 1.0  # constant flux has no periodic potential
         with pytest.raises(ValueError):
             solve_vector_potential(B)
+
+
+@st.composite
+def layered_media(draw):
+    """A small mesh and a medium that varies along a random subset of axes,
+    smoothly or piecewise-constantly along each, given only along those."""
+    dims = tuple(draw(st.integers(2, 7), label=f"n{ax}") for ax in range(3))
+    mesh = Mesh(dims, spacing=draw(st.sampled_from([0.5, 0.7, 1.0]), label="spacing"))
+
+    def profile(name):
+        values = np.full((1, 1, 1), draw(st.floats(0.5, 3.0), label=f"{name} scale"))
+        for ax in sorted(draw(st.sets(st.integers(0, 2)), label=f"{name} axes")):
+            n = dims[ax]
+            if draw(st.booleans(), label=f"{name} smooth along {ax}"):
+                amp = draw(st.floats(0.05, 0.6))
+                phase = draw(st.floats(0.0, 2.0 * np.pi))
+                line = 1.0 + amp * np.sin(2.0 * np.pi * np.arange(n) / n + phase)
+            else:
+                levels = draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
+                cuts = sorted(draw(st.lists(st.integers(0, n), min_size=len(levels) - 1,
+                                            max_size=len(levels) - 1)))
+                line = np.array(levels)[np.searchsorted(cuts, np.arange(n), side="right")]
+            shape = [1, 1, 1]
+            shape[ax] = n
+            values = values * line.reshape(shape)
+        return values
+
+    return mesh, MediumProfile(mesh, profile("eps"), profile("mu"))
+
+
+class TestLayeredMedia:
+    """Invariants of short runs in media that vary along some axes only,
+    at the bounds `cmx.verify` and the benchmark apply to them."""
+
+    @given(drawn=layered_media(), seed=st.integers(0, 2**32 - 1),
+           cfl=st.floats(0.3, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_divergence_reversal_and_orientation_agreement(self, drawn, seed, cfl):
+        mesh, medium = drawn
+        rng = np.random.default_rng(seed)
+        shape = (3, *mesh.dims)
+        # divergence-free inductions: exterior derivatives of random 1-forms
+        D = exterior_derivative(FormField(mesh, 1, rng.standard_normal(shape), dual=True))
+        B = exterior_derivative(FormField(mesh, 1, rng.standard_normal(shape)))
+        initial = MaxwellState.from_induction(D, B, medium)
+        scale = initial.field_scale()
+        div_bound = 1e-12 * scale / mesh.spacing
+        finals = []
+        for orientation, stepper in ((Orientation.DB, step_induction),
+                                     (Orientation.EH, step_intensity)):
+            cfg = SchemeConfig.from_cfl(mesh, medium, cfl=cfl, steps=4, cadence=1,
+                                        orientation=orientation)
+            final, reports = run_scenario(initial, medium, cfg)
+            for r in reports:
+                assert r.div_D_max <= div_bound and r.div_B_max <= div_bound
+            back = final
+            for _ in range(cfg.steps):
+                back = stepper(back, medium, cfg.reversed())
+            for name in STATE_FIELDS:
+                gap = np.abs((getattr(back, name) - getattr(initial, name)).data).max()
+                assert gap <= 1e-10 * scale, (orientation, name)
+            finals.append(final)
+        db, eh = finals
+        gap = max(np.abs((getattr(db, name) - getattr(eh, name)).data).max()
+                  for name in STATE_FIELDS)
+        assert gap / scale <= 1e-10

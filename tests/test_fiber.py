@@ -1,7 +1,11 @@
 """Per-cell energies, constitutive maps, and phase-space residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmx.contact import legendre_transform
 from cmx.dec import (
@@ -71,23 +75,166 @@ class TestMediumProfile:
         )
         np.testing.assert_allclose(medium.eps_edge[0], manual)
 
-    @pytest.mark.parametrize("kind", ["random", "sech_slab"])
+    @pytest.mark.parametrize("kind", ["random", "sech_slab", "uniform", "vacuum"])
     def test_staggered_media_are_stacked_resamples(self, kind):
         mesh = Mesh((6, 5, 4), spacing=0.5)
+        varying = {"random": (0, 1, 2), "sech_slab": (2,)}.get(kind, ())
         if kind == "random":
             rng = np.random.default_rng(4)
             medium = MediumProfile(mesh, 0.5 + rng.random(mesh.dims),
                                    0.7 + rng.random(mesh.dims))
-        else:
+        elif kind == "sech_slab":
             medium = MediumProfile.sech_slab(mesh, eps0=2.0, z30=0.8, mu0=1.5)
+        elif kind == "uniform":
+            medium = MediumProfile.uniform(mesh, 1.3, 1.7)
+        else:
+            medium = MediumProfile.vacuum(mesh)
         cell = (0.5, 0.5, 0.5)
         for stored, values, degree in ((medium.eps_edge, medium.eps, 1),
                                        (medium.mu_face, medium.mu, 2)):
             assert isinstance(stored, np.ndarray)
             assert stored.dtype == np.float64 and stored.shape == (3, *mesh.dims)
-            assert stored.flags.c_contiguous
+            assert not stored.flags.writeable
             for a, offset in enumerate(component_offsets(degree)):
                 assert stored[a].tobytes() == resample(values, cell, offset).tobytes()
+            owner = stored
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.size <= 3 * np.prod([mesh.dims[ax] for ax in varying])
+
+
+MEDIUM_DIMS = (4, 3, 5)
+
+# scalars and arrays of any dtype and of right-aligned shapes that fit the
+# mesh or do not (wrong sizes, empty axes, 0-d and 4-d input)
+medium_values = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.complex_numbers(),
+    hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.float32, np.float16, np.int32, np.uint8,
+                               np.complex128, np.bool_, np.dtype("<U3")]),
+        shape=st.lists(st.sampled_from([0, 1, 2, 3, 4, 5]), max_size=4).map(tuple),
+    ),
+)
+
+
+class TestMalformedMedia:
+    @given(eps=medium_values, mu=medium_values)
+    @settings(max_examples=300, deadline=None)
+    def test_media_construct_or_raise_value_error(self, eps, mu):
+        mesh = Mesh(MEDIUM_DIMS)
+        for build in (MediumProfile, MediumProfile.uniform):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no silent casts either
+                    medium = build(mesh, eps, mu)
+            except ValueError:
+                continue
+            for given_values, stored in ((eps, medium.eps), (mu, medium.mu)):
+                assert np.asarray(given_values).dtype.kind in "iuf"  # real numbers only
+                assert np.array_equal(stored, np.broadcast_to(
+                    np.asarray(given_values, dtype=float), mesh.dims))
+            assert medium.eps.shape == medium.mu.shape == mesh.dims
+            assert medium.eps_edge.shape == medium.mu_face.shape == (3, *mesh.dims)
+            assert medium.eps_min > 0 and medium.mu_min > 0
+            assert np.isfinite(medium.eps_edge).all() and np.isfinite(medium.mu_face).all()
+
+    @pytest.mark.parametrize("eps, match", [
+        (1.0 + 2.0j, "dtype complex128"),
+        (None, "dtype object"),
+        ("2.0", "dtype <U3"),
+        (np.ones((4, 3, 2)), r"shape \(4, 3, 2\)"),
+        (np.ones((1, 4, 3, 5)), r"shape \(1, 4, 3, 5\)"),
+        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), "non-finite"),
+        (np.full(5, 1e308), "staggered means overflow"),
+    ])
+    def test_errors_name_the_bad_dtype_or_shape(self, eps, match):
+        with pytest.raises(ValueError, match=match):
+            MediumProfile(Mesh(MEDIUM_DIMS), eps, 1.0)
+
+
+def compact_and_full(mesh, kind, rng):
+    """One medium given compactly and as full arrays, as (eps, mu) pairs."""
+    dims = mesh.dims
+    if kind == "vacuum":
+        eps, mu = 1.0, 1.0
+    elif kind == "uniform":
+        eps, mu = 1.3, 1.7
+    elif kind == "sech_slab":
+        eps = MediumProfile.sech_slab(mesh, 2.0, 0.2 * mesh.extent[2], 1.0).eps[:1, :1]
+        mu = 1.0
+    elif kind == "two_axes":
+        eps = 1.0 + rng.random((dims[0], 1, dims[2]))
+        mu = 0.7 + rng.random((dims[0], 1, 1))
+    else:
+        eps, mu = 1.0 + rng.random(dims), 0.7 + rng.random(dims)
+    eps, mu = np.array(eps), np.array(mu)
+    return (eps, mu), tuple(np.broadcast_to(v, dims).copy() for v in (eps, mu))
+
+
+def state_bits(state):
+    return [getattr(state, name).data.tobytes() for name in ("D", "B", "e", "h", "energy")]
+
+
+class TestCompactMediaMatchFullArrays:
+    """A medium given along the axes it varies on gives the bits of the same
+    medium given as full arrays: staggered media, densities and runs."""
+
+    KINDS = ["vacuum", "uniform", "sech_slab", "two_axes", "random"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_staggered_media_and_densities(self, kind):
+        mesh = Mesh((6, 5, 8), spacing=0.7)
+        rng = np.random.default_rng(31)
+        compact_in, full_in = compact_and_full(mesh, kind, rng)
+        compact, full = MediumProfile(mesh, *compact_in), MediumProfile(mesh, *full_in)
+        assert compact.eps_edge.tobytes() == full.eps_edge.tobytes()
+        assert compact.mu_face.tobytes() == full.mu_face.tobytes()
+        assert (compact.eps_min, compact.mu_min) == (full.eps_min, full.mu_min)
+        shape = (3, *mesh.dims)
+        D = FormField(mesh, 2, rng.standard_normal(shape), dual=True)
+        B = FormField(mesh, 2, rng.standard_normal(shape))
+        e = FormField(mesh, 1, rng.standard_normal(shape))
+        h = FormField(mesh, 1, rng.standard_normal(shape), dual=True)
+        for density in (lambda m: energy_density(D, B, m),
+                        lambda m: coenergy_density(e, h, m)):
+            a, b = density(compact), density(full)
+            assert a.data.tobytes() == b.data.tobytes()
+            assert functional(a).hex() == functional(b).hex()
+        state = MaxwellState(D=D, B=B, e=e, h=h, energy=energy_density(D, B, full))
+        for orientation in (Orientation.DB, Orientation.EH):
+            assert (contact_hamiltonian_density(state, compact, orientation).data.tobytes()
+                    == contact_hamiltonian_density(state, full, orientation).data.tobytes())
+
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("kind, dims, preset", [
+        *[(kind, (8, 6, 10), preset) for kind in KINDS
+          for preset in ("plane_wave", "gaussian_pulse")],
+        # big enough that numpy sums the mean over cells in blocks
+        ("sech_slab", (48, 48, 48), "plane_wave"),
+        ("uniform", (48, 48, 48), "plane_wave"),
+    ])
+    def test_runs(self, kind, dims, preset, orientation):
+        mesh = Mesh(dims, spacing=0.5)
+        compact_in, full_in = compact_and_full(mesh, kind, np.random.default_rng(32))
+        runs = []
+        for values in (compact_in, full_in):
+            medium = MediumProfile(mesh, *values)
+            cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.8, steps=3, cadence=1,
+                                        orientation=orientation)
+            if preset == "plane_wave":
+                initial = plane_wave_state(mesh, medium, cfg.dt, axis=0,
+                                           wavelength=mesh.extent[0] / 2, polarization=2)
+            else:
+                initial = gaussian_pulse_state(mesh, medium, center=2.0, width=0.8)
+            final, reports = run_scenario(initial, medium, cfg)
+            runs.append((cfg.dt.hex(), state_bits(initial), state_bits(final),
+                         [[getattr(r, f).hex() for f in r.FIELDS] for r in reports]))
+        assert runs[0] == runs[1]
 
 
 class TestEnergyDensities:
