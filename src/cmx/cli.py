@@ -131,7 +131,3 @@ def main(argv=None):
     except Exception as exc:  # noqa: BLE001 -- map any runtime failure to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -100,6 +100,21 @@ def _parse_floats(parts, count, what):
     return vals
 
 
+# integer keys: the ScenarioConfig field each sets and its least value
+_INTEGER_KEYS = {"scheme.steps": ("steps", 0), "scheme.cadence": ("cadence", 1),
+                 "outputs.snapshot_stride": ("snapshot_stride", 0), "run.seed": ("seed", None)}
+
+
+def _parse_int(parts, key, least=None):
+    """The one integer token of ``key``, at least ``least`` when that is given."""
+    if len(parts) != 1:
+        raise ValueError(f"{key} expects one integer, got {len(parts)} values")
+    n = int(parts[0])
+    if least is not None and n < least:
+        raise ValueError(f"{key} must be >= {least}")
+    return n
+
+
 def _parse_medium(parts):
     name, args = parts[0], parts[1:]
     if name == "vacuum":
@@ -167,17 +182,9 @@ def _apply(cfg, key, parts):
         if not 0 < v < 1:
             raise ValueError("scheme.cfl must lie strictly between 0 and 1")
         return replace(cfg, cfl=v)
-    if key == "scheme.steps":
-        (v,) = parts
-        n = int(v)
-        if n < 0:
-            raise ValueError("scheme.steps must be >= 0")
-        return replace(cfg, steps=n)
-    if key == "scheme.cadence":
-        n = int(parts[0])
-        if n < 1:
-            raise ValueError("scheme.cadence must be >= 1")
-        return replace(cfg, cadence=n)
+    if key in _INTEGER_KEYS:
+        name, least = _INTEGER_KEYS[key]
+        return replace(cfg, **{name: _parse_int(parts, key, least)})
     if key == "scheme.kappa":
         (v,) = _parse_floats(parts, 1, "scheme.kappa")
         if v <= 0:
@@ -187,13 +194,6 @@ def _apply(cfg, key, parts):
         if len(parts) != 1:
             raise ValueError("outputs.directory expects a single path")
         return replace(cfg, out_dir=parts[0])
-    if key == "outputs.snapshot_stride":
-        n = int(parts[0])
-        if n < 0:
-            raise ValueError("outputs.snapshot_stride must be >= 0")
-        return replace(cfg, snapshot_stride=n)
-    if key == "run.seed":
-        return replace(cfg, seed=int(parts[0]))
     raise ValueError(f"unknown key {key!r}")
 
 

@@ -4,14 +4,17 @@ One step is a symmetric staggered leapfrog: the magnetic field takes a
 half step with the curl of the electric intensity, the displacement a full
 step with the curl of the half-advanced magnetic intensity, then the
 second magnetic half step; the slaved pair is refreshed through the
-constitutive maps.  The energy coordinate is integrated separately with
-the divergence of the discrete Poynting 2-form built from time-centered
-intensities, so the energy balance is a falsifiable check rather than a
-bookkeeping identity: `cmx.dec.poynting_divergence`, the summation-by-parts
-partner of the fourth-order (2,4) staggered difference in
-`cmx.dec.exterior_derivative`, makes the semi-discrete balance exact
-pointwise, leaving a pure O(dt^2) residual.  The stability bound in
-`cfl_limit` follows from the same difference's Fourier symbol.
+constitutive maps.  Every division by eps or mu, here and in the
+potential-form leapfrog, is `MediumProfile.intensity`, and every
+multiplication `MediumProfile.induction`.  The energy coordinate is
+integrated separately with the divergence of the discrete Poynting 2-form
+built from time-centered intensities, so the energy balance is a
+falsifiable check rather than a bookkeeping identity:
+`cmx.dec.poynting_divergence`, the summation-by-parts partner of the
+fourth-order (2,4) staggered difference in `cmx.dec.exterior_derivative`,
+makes the semi-discrete balance exact pointwise, leaving a pure O(dt^2)
+residual.  The stability bound in `cfl_limit` follows from the same
+difference's Fourier symbol.
 
 Both orientations (inductions evolved or intensities evolved) perform the
 same update algebra for static linear media and agree to rounding.
@@ -19,7 +22,7 @@ same update algebra for static linear media and agree to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -80,13 +83,13 @@ class NonFiniteStateError(RuntimeError):
         self.cell = cell
 
 
-def _first_nonfinite(step, fields):
+def _first_nonfinite(step, pairs):
     """NonFiniteStateError at the first non-finite entry of ``(name, FormField)`` pairs.
 
     The pairs are searched in order and each array in C order; the caller
     has found that some entry is non-finite.
     """
-    for name, field in fields:
+    for name, field in pairs:
         bad = np.flatnonzero(~np.isfinite(field.data))
         if bad.size:
             index = tuple(int(i) for i in np.unravel_index(bad[0], field.data.shape))
@@ -163,18 +166,6 @@ class DiagnosticsReport:
     hamiltonian_functional: float
     poynting_balance_residual: float
 
-    FIELDS = (
-        "time",
-        "psi_total",
-        "phi_total",
-        "div_D_max",
-        "div_B_max",
-        "constitutive_residual_max",
-        "energy_residual_max",
-        "hamiltonian_functional",
-        "poynting_balance_residual",
-    )
-
     def __post_init__(self):
         for name in self.FIELDS:
             value = float(getattr(self, name))
@@ -183,22 +174,26 @@ class DiagnosticsReport:
             object.__setattr__(self, name, value)
 
 
+DiagnosticsReport.FIELDS = tuple(f.name for f in fields(DiagnosticsReport))  # column order
+
+
 def _check_cfl(mesh, medium, dt):
     limit = cfl_limit(mesh, medium)
     if abs(dt) > limit * (1 + 1e-12):
         raise CFLError(f"|dt| = {abs(dt):.6g} exceeds the stability bound {limit:.6g}")
 
 
-def _advance(base, scale, rate, weight=None):
-    """base + scale * rate / weight, formed in the fresh array of ``rate``.
+def _advance(base, scale, rate, medium=None):
+    """base + scale * rate, or base + medium.intensity(scale * rate), formed
+    in the fresh array of ``rate``.
 
     ``rate`` is a curl just computed for this update and used nowhere else;
     its array is collocated with ``base`` and becomes the result's.
     """
     data = rate.data
     data *= scale
-    if weight is not None:
-        data /= weight
+    if medium is not None:
+        medium.intensity(rate, out=data)
     data += base.data
     return FormField(base.mesh, base.degree, data, base.dual)
 
@@ -223,40 +218,38 @@ def _centred_flux(e_old, e_new, h_old, h_new):
 def _leapfrog(state, medium, cfg, curl_e=None):
     """One leapfrog step in ``cfg``'s orientation, and the curl of its new e.
 
-    DB evolves (D, B) with plain curls and slaves e = star(D)/eps and
-    h = star(B)/mu; EH evolves (e, h) with the curls over eps and mu and
-    slaves D, B.  ``curl_e`` is exterior_derivative(state.e) when the
-    caller already has it, and the first half-step consumes its array.
+    DB evolves (D, B) with plain curls and slaves e and h to them through
+    ``medium.intensity``; EH evolves (e, h) with the curls mapped through
+    ``medium.intensity`` and slaves D, B through ``medium.induction``.
+    ``curl_e`` is exterior_derivative(state.e) when the caller already has
+    it, and the first half-step consumes its array.
     The returned curl d(e_new) of the last half-step is left whole: it is
     bit for bit the next step's first curl.
     """
     _check_cfl(state.mesh, medium, cfg.dt)
-    dt, mesh = cfg.dt, state.mesh
-    eps, mu = medium.eps_edge, medium.mu_face
+    dt = cfg.dt
     if curl_e is None:
         curl_e = exterior_derivative(state.e)
     if cfg.orientation is Orientation.DB:
         B_half = _advance(state.B, -0.5 * dt, curl_e)
-        h_mid = FormField(mesh, 1, B_half.data / mu, dual=True)
+        h_mid = medium.intensity(B_half)
         D_new = _advance(state.D, dt, exterior_derivative(h_mid))
-        e_new = FormField(mesh, 1, D_new.data / eps, dual=False)
+        e_new = medium.intensity(D_new)
         curl_new = exterior_derivative(e_new)
         # the second half-step goes into B_half's array, by way of h_mid's
         kick = np.multiply(curl_new.data, -0.5 * dt, out=h_mid.data)
         np.add(B_half.data, kick, out=B_half.data)
-        B_new = B_half
-        h_new = FormField(mesh, 1, np.divide(B_new.data, mu, out=kick), dual=True)
+        B_new, h_new = B_half, medium.intensity(B_half, out=kick)
     else:
-        h_half = _advance(state.h, -0.5 * dt, curl_e, mu)
-        e_new = _advance(state.e, dt, exterior_derivative(h_half), eps)
+        h_half = _advance(state.h, -0.5 * dt, curl_e, medium)
+        e_new = _advance(state.e, dt, exterior_derivative(h_half), medium)
         curl_new = exterior_derivative(e_new)
         # the second half-step goes into h_half's array; its kick becomes B
-        kick = curl_new.data * (-0.5 * dt)
-        kick /= mu
-        np.add(h_half.data, kick, out=h_half.data)
-        h_new = h_half
-        D_new = FormField(mesh, 2, e_new.data * eps, dual=True)
-        B_new = FormField(mesh, 2, np.multiply(h_new.data, mu, out=kick), dual=False)
+        kick = curl_new * (-0.5 * dt)
+        kick = medium.intensity(kick, out=kick.data)
+        np.add(h_half.data, kick.data, out=h_half.data)
+        h_new, D_new = h_half, medium.induction(e_new)
+        B_new = medium.induction(h_new, out=kick.data)
     energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
     return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new, energy=energy_new,
                         time=state.time + dt), curl_new
@@ -408,14 +401,11 @@ def evolve_potential(A0, Adot0, medium, cfg):
         raise ValueError("potential and medium live on different meshes")
     _check_cfl(A0.mesh, medium, cfg.dt)
     dt = cfg.dt
-    mesh = A0.mesh
 
     def curl_curl(A):
-        h_like = exterior_derivative(A).data
-        h_like /= medium.mu_face
-        d2 = exterior_derivative(FormField(mesh, 1, h_like, dual=True)).data
-        d2 /= medium.eps_edge
-        return FormField(mesh, 1, d2, dual=False)
+        dA = exterior_derivative(A)
+        d2 = exterior_derivative(medium.intensity(dA, out=dA.data))
+        return medium.intensity(d2, out=d2.data)
 
     A_prev = A0 - dt * Adot0
     A_curr = A0

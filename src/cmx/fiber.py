@@ -12,11 +12,14 @@ energy coordinate.  Field placement on the staggered complex:
 
 Permittivity and permeability are cell-sampled, stored only along the axes
 they vary on, and averaged onto edge and face centers, so both constitutive
-maps are diagonal per component.  The
-energy and co-energy densities are quadratic, strictly convex functions of
-the respective six field components; their cell values use the same edge
-and face averaging as the Poynting pairing in `cmx.dynamics`, which makes
-the semi-discrete energy balance exact.
+maps are diagonal per component.  `MediumProfile.intensity` and
+`MediumProfile.induction` are the one place the maps are applied: every
+stepper, preset and check goes through them, and only the two densities
+below read the staggered media themselves.  The energy and co-energy
+densities are quadratic, strictly convex functions of the respective six
+field components; their cell values use the same edge and face averaging
+as the Poynting pairing in `cmx.dynamics`, which makes the semi-discrete
+energy balance exact.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .dec import (
     resample,
     wedge,
 )
+from .infogeo import fiber_metric
 
 __all__ = [
     "Orientation",
@@ -133,6 +137,29 @@ class MediumProfile:
         eps = eps0 / np.cosh(centered / z30) ** 2
         return cls(mesh, eps.reshape(1, 1, -1), float(mu0))
 
+    def intensity(self, induction, out=None):
+        """The constitutive image of an induction: a dual 2-form D gives the
+        primal 1-form D / eps_edge, a primal 2-form B the dual 1-form
+        B / mu_face.  ``out`` may name the array that receives the result."""
+        weight = self._weight(induction, 2)
+        return FormField(self.mesh, 1, np.divide(induction.data, weight, out=out),
+                         not induction.dual)
+
+    def induction(self, intensity, out=None):
+        """The inverse map: a primal 1-form e gives the dual 2-form
+        e * eps_edge, a dual 1-form h the primal 2-form h * mu_face."""
+        weight = self._weight(intensity, 1)
+        return FormField(self.mesh, 2, np.multiply(intensity.data, weight, out=out),
+                         not intensity.dual)
+
+    def _weight(self, form, degree):
+        """eps_edge for a ``degree``-form on the edges, mu_face for one on the faces."""
+        if form.degree != degree:
+            raise ValueError(f"expected a {degree}-form, got a {form.degree}-form")
+        if form.mesh != self.mesh:
+            raise ValueError(f"the form lives on {form.mesh}, the medium on {self.mesh}")
+        return self.eps_edge if form.dual == (degree == 2) else self.mu_face
+
 
 def _expect(field, degree, dual, name):
     if field.degree != degree or field.dual != dual:
@@ -197,12 +224,10 @@ class MaxwellState:
         )
 
 
-def _edge_sq_to_cell(arr, a):
-    return resample(arr, component_offsets(1)[a], _CELL)
-
-
-def _face_sq_to_cell(arr, a):
-    return resample(arr, component_offsets(2)[a], _CELL)
+def _to_cell(arr, degree, a):
+    """Component ``a`` of a pointwise product on the edges (``degree`` 1) or
+    faces (``degree`` 2), averaged onto the cell centers."""
+    return resample(arr, component_offsets(degree)[a], _CELL)
 
 
 def energy_density(D, B, medium):
@@ -219,8 +244,8 @@ def energy_density(D, B, medium):
     # raised a 64^3 run's memory peak, which sits in the report, by 8 MiB
     total = np.zeros(medium.mesh.dims)
     for a in range(3):
-        total += _edge_sq_to_cell(D.data[a] ** 2 / medium.eps_edge[a], a)
-        total += _face_sq_to_cell(B.data[a] ** 2 / medium.mu_face[a], a)
+        total += _to_cell(D.data[a] ** 2 / medium.eps_edge[a], 1, a)
+        total += _to_cell(B.data[a] ** 2 / medium.mu_face[a], 2, a)
     return FormField(medium.mesh, 0, 0.5 * total, dual=True)
 
 
@@ -232,8 +257,8 @@ def coenergy_density(e, h, medium):
         raise ValueError("fields and medium live on different meshes")
     total = np.zeros(medium.mesh.dims)  # one component at a time, as energy_density
     for a in range(3):
-        total += _edge_sq_to_cell(medium.eps_edge[a] * e.data[a] ** 2, a)
-        total += _face_sq_to_cell(medium.mu_face[a] * h.data[a] ** 2, a)
+        total += _to_cell(medium.eps_edge[a] * e.data[a] ** 2, 1, a)
+        total += _to_cell(medium.mu_face[a] * h.data[a] ** 2, 2, a)
     return FormField(medium.mesh, 0, 0.5 * total, dual=True)
 
 
@@ -241,8 +266,8 @@ def pairing_density(D, B, e, h):
     """Componentwise pairing star(D).e + star(B).h as a cell 0-form."""
     total = np.zeros(D.mesh.dims)
     for a in range(3):
-        total += _edge_sq_to_cell(D.data[a] * e.data[a], a)
-        total += _face_sq_to_cell(B.data[a] * h.data[a], a)
+        total += _to_cell(D.data[a] * e.data[a], 1, a)
+        total += _to_cell(B.data[a] * h.data[a], 2, a)
     return FormField(D.mesh, 0, total, dual=True)
 
 
@@ -265,20 +290,14 @@ def intensity_from_induction(D, B, medium):
     """
     _expect(D, 2, True, "D")
     _expect(B, 2, False, "B")
-    return (
-        FormField(medium.mesh, 1, D.data / medium.eps_edge, dual=False),
-        FormField(medium.mesh, 1, B.data / medium.mu_face, dual=True),
-    )
+    return medium.intensity(D), medium.intensity(B)
 
 
 def induction_from_intensity(e, h, medium):
     """Constitutive map D = eps * star(e), B = mu * star(h)."""
     _expect(e, 1, False, "e")
     _expect(h, 1, True, "h")
-    return (
-        FormField(medium.mesh, 2, e.data * medium.eps_edge, dual=True),
-        FormField(medium.mesh, 2, h.data * medium.mu_face, dual=False),
-    )
+    return medium.induction(e), medium.induction(h)
 
 
 @dataclass(frozen=True)
@@ -302,11 +321,7 @@ class PhaseResiduals:
     coenergy: FormField
 
     def max_abs(self):
-        return max(
-            float(np.abs(self.delta_energy.data).max()),
-            float(np.abs(self.delta_De.data).max()),
-            float(np.abs(self.delta_Bh.data).max()),
-        )
+        return max(float(np.abs(self.delta_energy.data).max()), self.constitutive_max())
 
     def constitutive_max(self):
         return max(
@@ -379,14 +394,12 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals
     density = np.zeros(medium.mesh.dims)
     if residuals.delta_De.data.any():
         F_De = exterior_derivative(h_c)
-        if not db:
-            F_De = FormField(medium.mesh, 1, F_De.data / medium.eps_edge, dual=False)
+        F_De = F_De if db else medium.intensity(F_De)
         density += wedge(residuals.delta_De, F_De).data
         del F_De  # the D term is finished before the second curl is formed
     if residuals.delta_Bh.data.any():
         minus_F_Bh = exterior_derivative(e_c)
-        if not db:
-            minus_F_Bh = FormField(medium.mesh, 1, minus_F_Bh.data / medium.mu_face, dual=True)
+        minus_F_Bh = minus_F_Bh if db else medium.intensity(minus_F_Bh)
         density -= wedge(residuals.delta_Bh, minus_F_Bh).data
     density += kappa * residuals.delta_energy.data
     return FormField(medium.mesh, 0, density, dual=True)
@@ -399,7 +412,4 @@ def energy_quadratic(eps, mu):
     star(B) components; the Hessian is diag(1/eps x3, 1/mu x3).  Its total
     Legendre transform is the co-energy density in the (e, h) variables.
     """
-    if eps <= 0 or mu <= 0:
-        raise ValueError("medium constants must be positive")
-    diag = np.array([1.0 / eps] * 3 + [1.0 / mu] * 3)
-    return Generator.quadratic(np.diag(diag))
+    return Generator.quadratic(fiber_metric(eps, mu))

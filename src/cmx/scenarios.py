@@ -78,6 +78,12 @@ def _eigenmode_amplitudes(dt, eps, mu, k, spacing, sigma):
     return vec / vec[0]  # unit real intensity amplitude
 
 
+def _slaved_to(e, B, medium, time):
+    """The state of intensity e and induction B, with D, h and the energy slaved to them."""
+    D, h = medium.induction(e), medium.intensity(B)
+    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy_density(D, B, medium), time=time)
+
+
 def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude=1.0,
                      time=0.0):
     """On-shell traveling plane wave sampled as a discrete eigenmode.
@@ -109,10 +115,7 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
     coords_b = _along(mesh, axis, B.offsets()[third])
     B.data[third] = amplitude * np.real(b_hat * np.exp(1j * k * coords_b))
 
-    D = FormField(mesh, 2, medium.eps_edge * e.data, dual=True)
-    h = FormField(mesh, 1, B.data / medium.mu_face, dual=True)
-    return MaxwellState(D=D, B=B, e=e, h=h,
-                        energy=energy_density(D, B, medium), time=time)
+    return _slaved_to(e, B, medium, time)
 
 
 def gaussian_pulse_state(mesh, medium, center, width, amplitude=1.0, time=0.0):
@@ -127,10 +130,7 @@ def gaussian_pulse_state(mesh, medium, center, width, amplitude=1.0, time=0.0):
     x_b = _along(mesh, 0, B.offsets()[2])
     B.data[2] = amplitude * np.exp(-0.5 * ((x_b - center) / width) ** 2)
 
-    D = FormField(mesh, 2, medium.eps_edge * e.data, dual=True)
-    h = FormField(mesh, 1, B.data / medium.mu_face, dual=True)
-    return MaxwellState(D=D, B=B, e=e, h=h,
-                        energy=energy_density(D, B, medium), time=time)
+    return _slaved_to(e, B, medium, time)
 
 
 def initial_from_preset(mesh, medium, dt, preset):

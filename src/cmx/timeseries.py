@@ -10,11 +10,7 @@ from .dynamics import DiagnosticsReport
 
 __all__ = ["HEADER", "write_timeseries", "read_timeseries"]
 
-HEADER = (
-    "t,psi_total,phi_total,div_D_max,div_B_max,"
-    "constitutive_residual_max,energy_residual_max,"
-    "hamiltonian_functional,poynting_balance_residual"
-)
+HEADER = ",".join(("t", *DiagnosticsReport.FIELDS[1:]))  # the time column reads t
 
 
 def write_timeseries(rows, path):

@@ -364,6 +364,15 @@ class TestCarriedCurl:
         for name in STATE_FIELDS:
             assert getattr(final, name).data.tobytes() == getattr(state, name).data.tobytes()
         assert final.time == state.time
+        # the slaved pair obeys the written-out constitutive law, bit for bit
+        if orientation is Orientation.DB:
+            slaved = [(final.e, final.D.data / medium.eps_edge),
+                      (final.h, final.B.data / medium.mu_face)]
+        else:
+            slaved = [(final.D, final.e.data * medium.eps_edge),
+                      (final.B, final.h.data * medium.mu_face)]
+        for field, expected in slaved:
+            assert field.data.tobytes() == expected.tobytes()
 
         pairs = zip([seen[0]] + seen[:-1], seen)
         oracle = [poynting_report(a, b, medium, kappa=cfg.kappa, orientation=cfg.orientation)

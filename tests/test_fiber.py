@@ -320,6 +320,60 @@ class TestConstitutiveMaps:
         np.testing.assert_allclose(B2.data, B.data, rtol=0, atol=1e-14)
 
 
+class TestMediumMaps:
+    """MediumProfile.intensity and .induction are the written-out divides and
+    multiplies by the staggered media, bit for bit."""
+
+    @staticmethod
+    def medium(kind, mesh):
+        rng = np.random.default_rng(12)
+        return {
+            "random": lambda: MediumProfile(mesh, 0.5 + rng.random(mesh.dims),
+                                            0.7 + rng.random(mesh.dims)),
+            "uniform": lambda: MediumProfile.uniform(mesh, 2.0, 3.0),
+            "vacuum": lambda: MediumProfile.vacuum(mesh),
+            "sech_slab": lambda: MediumProfile.sech_slab(mesh, 2.0, 1.5, 1.3),
+        }[kind]()
+
+    @pytest.mark.parametrize("kind", ["random", "uniform", "vacuum", "sech_slab"])
+    @pytest.mark.parametrize("dims", [(6, 5, 8), (2, 2, 2)])
+    def test_maps_are_the_written_out_divides_and_multiplies(self, kind, dims):
+        mesh = Mesh(dims, spacing=0.7)
+        m = self.medium(kind, mesh)
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((3, *dims))
+        cases = [  # (map, degree, dual, expected data, image degree, image dual)
+            (m.intensity, 2, True, data / m.eps_edge, 1, False),  # D -> e
+            (m.intensity, 2, False, data / m.mu_face, 1, True),  # B -> h
+            (m.induction, 1, False, data * m.eps_edge, 2, True),  # e -> D
+            (m.induction, 1, True, data * m.mu_face, 2, False),  # h -> B
+        ]
+        for apply, degree, dual, expected, image_degree, image_dual in cases:
+            form = FormField(mesh, degree, data.copy(), dual)
+            image = apply(form)
+            assert image.data.tobytes() == expected.tobytes()
+            assert (image.mesh, image.degree, image.dual) == (mesh, image_degree, image_dual)
+            assert form.data.tobytes() == data.tobytes()  # the input is left alone
+            out = np.empty_like(data)
+            assert apply(form, out=out).data is out
+            assert out.tobytes() == expected.tobytes()
+            in_place = apply(form, out=form.data)  # a fresh curl's array may take it
+            assert in_place.data is form.data
+            assert in_place.data.tobytes() == expected.tobytes()
+
+    def test_wrong_degree_or_mesh_names_the_fault(self, mesh):
+        m = MediumProfile.vacuum(mesh)
+        other = Mesh((8, 8, 4))
+        for apply, degree, wrong in ((m.intensity, 2, 1), (m.induction, 1, 2)):
+            for bad in (0, 3, wrong):
+                with pytest.raises(ValueError, match=f"expected a {degree}-form, "
+                                                     f"got a {bad}-form"):
+                    apply(FormField.zeros(mesh, bad))
+            for far in (other, Mesh(mesh.dims, spacing=0.5)):
+                with pytest.raises(ValueError, match="the form lives on Mesh"):
+                    apply(FormField.zeros(far, degree))
+
+
 def random_onshell_state(mesh, rng):
     medium = MediumProfile(mesh, 0.5 + rng.random(mesh.dims),
                            0.5 + rng.random(mesh.dims))

@@ -1,9 +1,15 @@
 """Configuration parsing, snapshots, time series, and the command line."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cmx
 from cmx.cli import main
 from cmx.config import ConfigError, parse_config
 from cmx.dec import FormField, Mesh
@@ -171,6 +177,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("scheme.cfl = 1.5\n")
 
+    @pytest.mark.parametrize("text", [
+        "scheme.steps = 1 2", "scheme.cadence = 20 40", "outputs.snapshot_stride = 2 x",
+        "run.seed = 1 2 3",
+    ])
+    def test_integer_keys_take_exactly_one_token(self, text):
+        key = text.split(" = ")[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        (lineno, msg), = err.value.errors
+        assert lineno == 1 and key in msg and "one integer" in msg
+        assert f"line 1: {key}" in str(err.value)
+
     @given(st.lists(config_line, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_text_parses_or_raises_config_error(self, lines):
@@ -250,6 +268,16 @@ class TestCli:
     def test_verify_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_python_m_cmx_runs_the_command_line(self, capsys):
+        argv = ["transform", "--psi-quadratic", "1", "1", "1", "2", "2", "2",
+                "--p", "1", "0", "0", "2", "0", "0"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cmx.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "cmx", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
 
     def test_transform_matches_closed_form(self, capsys):
         code = main(["transform", "--psi-quadratic", "1", "1", "1", "2", "2", "2",
