@@ -105,11 +105,19 @@ _INTEGER_KEYS = {"scheme.steps": ("steps", 0), "scheme.cadence": ("cadence", 1),
                  "outputs.snapshot_stride": ("snapshot_stride", 0), "run.seed": ("seed", None)}
 
 
+def _int(token, what):
+    """``token`` as an integer; ValueError names ``what`` when it is not one."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what} expects an integer, got {token!r}") from None
+
+
 def _parse_int(parts, key, least=None):
     """The one integer token of ``key``, at least ``least`` when that is given."""
     if len(parts) != 1:
         raise ValueError(f"{key} expects one integer, got {len(parts)} values")
-    n = int(parts[0])
+    n = _int(parts[0], key)
     if least is not None and n < least:
         raise ValueError(f"{key} must be >= {least}")
     return n
@@ -143,7 +151,8 @@ def _parse_initial(parts):
     if name == "plane_wave":
         if len(args) != 4:
             raise ValueError("plane_wave expects: axis wavelength polarization amplitude")
-        axis, pol = int(args[0]), int(args[2])
+        axis = _int(args[0], "plane_wave axis")
+        pol = _int(args[2], "plane_wave polarization")
         wl, amp = float(args[1]), float(args[3])
         if axis not in (1, 2, 3) or pol not in (1, 2, 3) or axis == pol:
             raise ValueError("plane_wave axes must be distinct values in 1..3")
@@ -160,7 +169,7 @@ def _parse_initial(parts):
 
 def _apply(cfg, key, parts):
     if key == "grid.dims":
-        dims = tuple(int(p) for p in parts)
+        dims = tuple(_int(p, key) for p in parts)
         if len(dims) != 3 or any(d < 2 for d in dims):
             raise ValueError("grid.dims expects three integers >= 2")
         return replace(cfg, dims=dims)

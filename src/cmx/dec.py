@@ -299,31 +299,26 @@ _SLAB_BYTES = 1 << 17
 _HALO = 2
 
 
-def _slabs(dims):
-    step = max(1, _SLAB_BYTES // (8 * dims[1] * dims[2]))
+def _slabs(dims, nbytes=_SLAB_BYTES):
+    """(first, end) plane ranges of slabs of at most ``nbytes`` per array."""
+    step = max(1, nbytes // (8 * dims[1] * dims[2]))
     return [(i0, min(i0 + step, dims[0])) for i0 in range(0, dims[0], step)]
 
 
-def _planes(parts, lo, hi, buf):
-    """Planes lo..hi-1 along the first axis of the sum of one or two parts.
+def _planes(arr, lo, hi, buf):
+    """Planes lo..hi-1 along the first axis of ``arr``, indices periodic.
 
-    Indices are periodic.  A view of a lone part when no index wraps, else
-    assembled in ``buf``.
+    A view of ``arr`` when no index wraps, else assembled in ``buf``.
     """
-    n = len(parts[0])
-    if len(parts) == 1 and 0 <= lo and hi <= n:
-        return parts[0][lo:hi]
+    n = len(arr)
+    if 0 <= lo and hi <= n:
+        return arr[lo:hi]
     out = buf[:hi - lo]
     i = lo
     while i < hi:
         j = i % n
         step = min(n - j, hi - i)
-        src = [p[j: j + step] for p in parts]
-        dst = out[i - lo: i - lo + step]
-        if len(src) == 1:
-            dst[...] = src[0]
-        else:
-            np.add(*src, out=dst)
+        out[i - lo: i - lo + step] = arr[j: j + step]
         i += step
     return out
 
@@ -406,13 +401,14 @@ def resample(arr, src_offset, dst_offset, out=None):
     return arr
 
 
-def exterior_derivative(alpha):
+def exterior_derivative(alpha, out=None):
     """Discrete d: staggered (2,4) differences divided by the spacing.
 
     Forward differences on the primal complex, backward on the dual, so
     that d of a form lands on the staggered location of its degree.  The
     differences along different axes commute, so d(d(x)) vanishes to
-    rounding on either complex.
+    rounding on either complex.  ``out`` may name the C-contiguous array,
+    not overlapping ``alpha.data``, that receives the result's components.
     """
     if alpha.degree == 3:
         raise ValueError("exterior derivative of a 3-form is not defined")
@@ -431,23 +427,30 @@ def exterior_derivative(alpha):
                  for a in range(3)]
     else:
         terms = [[(a, a, 1) for a in range(3)]]
-    out = np.empty((len(terms), *dims))
+    shape = dims if q == 2 else (3, *dims)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    # the one-cell parts are summed in the output's own planes
+    acc = out.reshape(len(terms), *dims)
     inv_h = 1.0 / alpha.mesh.spacing
     slabs = _slabs(dims)
     halo = len(slabs) > 1
     span = max(i1 - i0 for i0, i1 in slabs)
     work = [np.empty((span + 2, *dims[1:])) for _ in range(3)]
-    one, third = (np.empty((span, *dims[1:])) for _ in range(2))
+    third = np.empty((span, *dims[1:]))
     frame = np.empty((span + 2 * _HALO, *dims[1:]))
     for i0, i1 in slabs:
         rows = i1 - i0
-        acc_one, acc_third = one[:rows], third[:rows]
+        acc_third = third[:rows]
         for k, comp_terms in enumerate(terms):
+            acc_one = acc[k, i0:i1]
             for n, (comp, axis, sign) in enumerate(comp_terms):
                 arr = data if comp is None else data[comp]
                 framed = halo and axis == 0
                 if framed:
-                    arr = _planes((arr,), i0 - _HALO, i1 + _HALO, frame)
+                    arr = _planes(arr, i0 - _HALO, i1 + _HALO, frame)
                 else:
                     arr = arr[i0:i1]
                 # the first term lands in the sums directly unless framed
@@ -459,14 +462,12 @@ def exterior_derivative(alpha):
                         np.copyto(acc_one, g)
                         np.copyto(acc_third, t)
                 else:
-                    acc = np.add if sign > 0 else np.subtract
-                    acc(acc_one, g, out=acc_one)
-                    acc(acc_third, t, out=acc_third)
+                    op = np.add if sign > 0 else np.subtract
+                    op(acc_one, g, out=acc_one)
+                    op(acc_third, t, out=acc_third)
             acc_third *= _C3
             acc_one += acc_third
-            np.multiply(acc_one, inv_h, out=out[k, i0:i1])
-    if q == 2:
-        out = out[0]
+            acc_one *= inv_h
     return FormField(alpha.mesh, q + 1, out, alpha.dual)
 
 
@@ -599,18 +600,8 @@ def poynting_divergence(e, h):
         raise ValueError("poynting_divergence expects a primal and a dual 1-form")
     if e.mesh != h.mesh:
         raise ValueError("operands live on different meshes")
-    return _poynting_divergence(e.mesh, (e.data,), (h.data,))
-
-
-def _poynting_divergence(mesh, e_parts, h_parts):
-    """`poynting_divergence` of the sums of the component arrays in the parts.
-
-    Summing slab by slab spares the full arrays of the sums, as in the
-    time-centred flux of a leapfrog step.
-    """
-    dims = mesh.dims
-    e_parts, h_parts = ([np.ascontiguousarray(p, dtype=float) for p in parts]
-                        for parts in (e_parts, h_parts))
+    mesh, dims = e.mesh, e.mesh.dims
+    e_data, h_data = (np.ascontiguousarray(f.data, dtype=float) for f in (e, h))
     div = np.empty(dims)
     slabs = _slabs(dims)
     halo = len(slabs) > 1
@@ -627,8 +618,8 @@ def _poynting_divergence(mesh, e_parts, h_parts):
             lo, hi, base, flux_base, extra = i0 - _HALO, i1 + _HALO, _HALO, 0, 1
         else:
             lo, hi, base, flux_base, extra = i0, i1, None, None, 0
-        ev = [_planes([p[k] for p in e_parts], lo, hi, frames[k]) for k in range(3)]
-        hv = [_planes([p[k] for p in h_parts], lo, hi, frames[3 + k]) for k in range(3)]
+        ev = [_planes(e_data[k], lo, hi, frames[k]) for k in range(3)]
+        hv = [_planes(h_data[k], lo, hi, frames[3 + k]) for k in range(3)]
         out = div[i0:i1]
         for c in range(3):
             a, b = (c + 1) % 3, (c + 2) % 3

@@ -6,15 +6,22 @@ step with the curl of the half-advanced magnetic intensity, then the
 second magnetic half step; the slaved pair is refreshed through the
 constitutive maps.  Every division by eps or mu, here and in the
 potential-form leapfrog, is `MediumProfile.intensity`, and every
-multiplication `MediumProfile.induction`.  The energy coordinate is
-integrated separately with the divergence of the discrete Poynting 2-form
-built from time-centered intensities, so the energy balance is a
-falsifiable check rather than a bookkeeping identity:
+multiplication `MediumProfile.induction`.  The stability bound in
+`cfl_limit` follows from the Fourier symbol of the fourth-order (2,4)
+staggered difference in `cmx.dec.exterior_derivative`.
+
+The energy coordinate advances on the scheme's exact discrete (Yee)
+balance, built from the three curls the step forms anyway (see
+`_leapfrog`).  In every cell E_n - E_0 = w_n - w_0 to rounding, where
+w = psi - (dt^2/8) mean((d e)^2 / mu) is the density of the modified
+energy the leapfrog conserves; so the balance is a falsifiable identity,
+and the gap psi - E is that O(dt^2) term.  It holds for media linear in
+the fields.  Reports measure the balance of psi against the Poynting flux
 `cmx.dec.poynting_divergence`, the summation-by-parts partner of the
-fourth-order (2,4) staggered difference in `cmx.dec.exterior_derivative`,
-makes the semi-discrete balance exact pointwise, leaving a pure O(dt^2)
-residual.  The stability bound in `cfl_limit` follows from the same
-difference's Fourier symbol.
+(2,4) difference.
+
+`run_scenario` allocates its workspace once: after that, a step allocates
+only the fresh state it returns and a report nothing of field size.
 
 Both orientations (inductions evolved or intensities evolved) perform the
 same update algebra for static linear media and agree to rounding.
@@ -29,14 +36,18 @@ import numpy as np
 from .dec import (
     FormField,
     WHOLE,
-    _poynting_divergence,
     difference_symbol,
     exterior_derivative,
     integrate,
+    poynting_divergence,
 )
 from .fiber import (
     MaxwellState,
     Orientation,
+    PhaseResiduals,
+    _cell_means,
+    _max_abs,
+    _product,
     contact_hamiltonian_density,
     functional,
     phase_residuals,
@@ -183,75 +194,87 @@ def _check_cfl(mesh, medium, dt):
         raise CFLError(f"|dt| = {abs(dt):.6g} exceeds the stability bound {limit:.6g}")
 
 
-def _advance(base, scale, rate, medium=None):
-    """base + scale * rate, or base + medium.intensity(scale * rate), formed
-    in the fresh array of ``rate``.
-
-    ``rate`` is a curl just computed for this update and used nowhere else;
-    its array is collocated with ``base`` and becomes the result's.
-    """
-    data = rate.data
-    data *= scale
-    if medium is not None:
-        medium.intensity(rate, out=data)
-    data += base.data
-    return FormField(base.mesh, base.degree, data, base.dual)
+def _energy_terms(sign, degree, x, y, z=None):
+    """`cmx.fiber._cell_means` terms of x_a y_a, or (x_a + y_a) z_a, on
+    the edges (``degree`` 1) or faces (``degree`` 2), added with ``sign``."""
+    if z is None:
+        fill = _product(x, y)
+    else:
+        def fill(a, sl, p):
+            np.multiply(np.add(x[a][sl], y[a][sl], out=p), z[a][sl], out=p)
+    return [(degree, a, sign, fill) for a in range(3)]
 
 
-def _energy_step(energy, e_old, e_new, h_old, h_new, dt):
-    """Advance the energy coordinate by -dt * star d(e ^ h), time-centered.
-
-    d(e ^ h) is `cmx.dec.poynting_divergence`, whose pointwise balance with
-    the field update is exact in the semi-discrete limit.  It is bilinear,
-    so the two halvings of the time averages become one factor 1/4.  The
-    star of the 3-form is the dual 0-form with the same array.
-    """
-    return _advance(energy, -0.25 * dt, _centred_flux(e_old, e_new, h_old, h_new))
-
-
-def _centred_flux(e_old, e_new, h_old, h_new):
-    """poynting_divergence(e_old + e_new, h_old + h_new), summed slab by slab."""
-    return _poynting_divergence(e_old.mesh, (e_old.data, e_new.data),
-                                (h_old.data, h_new.data))
-
-
-def _leapfrog(state, medium, cfg, curl_e=None):
+def _leapfrog(state, medium, cfg, curl_e=None, out=None):
     """One leapfrog step in ``cfg``'s orientation, and the curl of its new e.
 
     DB evolves (D, B) with plain curls and slaves e and h to them through
     ``medium.intensity``; EH evolves (e, h) with the curls mapped through
     ``medium.intensity`` and slaves D, B through ``medium.induction``.
+
+    The energy coordinate advances on the scheme's exact discrete balance,
+
+        E_{n+1} = E_n + (dt/2) [mean((e_n + e_{n+1}) . d h_{n+1/2})
+                                - mean(h_{n+1/2} . (d e_n + d e_{n+1}))],
+
+    with the edge and face means of the energy density, from the three
+    curls the step forms anyway.  Each curl is taken into the sum as soon
+    as its partner exists, so one curl array serves all three.
+
+    ``out`` is a (7, N1, N2, N3) array, allocated when not given: out[:3]
+    receives d(e_new), the curl of the last half-step, which is returned
+    whole, bit for bit the next step's first curl; out[3:] is scratch.
     ``curl_e`` is exterior_derivative(state.e) when the caller already has
-    it, and the first half-step consumes its array.
-    The returned curl d(e_new) of the last half-step is left whole: it is
-    bit for bit the next step's first curl.
+    it, and may be out[:3].  The new state's thirteen arrays are the only
+    ones the step allocates.
     """
     _check_cfl(state.mesh, medium, cfg.dt)
-    dt = cfg.dt
+    dt, mesh = cfg.dt, state.mesh
+    if out is None:
+        out = np.empty((7, *mesh.dims))
+    curl, half, sums = out[:3], out[3:6], out[6]
     if curl_e is None:
-        curl_e = exterior_derivative(state.e)
+        curl_e = exterior_derivative(state.e, out=curl)
+    e_n = state.e.data
     if cfg.orientation is Orientation.DB:
-        B_half = _advance(state.B, -0.5 * dt, curl_e)
-        h_mid = medium.intensity(B_half)
-        D_new = _advance(state.D, dt, exterior_derivative(h_mid))
+        B = np.multiply(curl_e.data, -0.5 * dt)
+        B += state.B.data
+        B_half = FormField(mesh, 2, B)
+        h_mid = medium.intensity(B_half, out=half)
+        _cell_means(sums, _energy_terms(-1, 2, h_mid.data, curl_e.data), fresh=True)
+        d_h = exterior_derivative(h_mid, out=curl)
+        D = np.multiply(d_h.data, dt)
+        D += state.D.data
+        D_new = FormField(mesh, 2, D, dual=True)
         e_new = medium.intensity(D_new)
-        curl_new = exterior_derivative(e_new)
-        # the second half-step goes into B_half's array, by way of h_mid's
-        kick = np.multiply(curl_new.data, -0.5 * dt, out=h_mid.data)
-        np.add(B_half.data, kick, out=B_half.data)
-        B_new, h_new = B_half, medium.intensity(B_half, out=kick)
+        _cell_means(sums, _energy_terms(1, 1, e_n, e_new.data, d_h.data))
+        curl_new = exterior_derivative(e_new, out=curl)
+        _cell_means(sums, _energy_terms(-1, 2, h_mid.data, curl_new.data))
+        # the second half-step's kick goes into h_mid's array
+        B += np.multiply(curl_new.data, -0.5 * dt, out=half)
+        B_new, h_new = B_half, medium.intensity(B_half)
     else:
-        h_half = _advance(state.h, -0.5 * dt, curl_e, medium)
-        e_new = _advance(state.e, dt, exterior_derivative(h_half), medium)
-        curl_new = exterior_derivative(e_new)
-        # the second half-step goes into h_half's array; its kick becomes B
-        kick = curl_new * (-0.5 * dt)
-        kick = medium.intensity(kick, out=kick.data)
-        np.add(h_half.data, kick.data, out=h_half.data)
-        h_new, D_new = h_half, medium.induction(e_new)
-        B_new = medium.induction(h_new, out=kick.data)
-    energy_new = _energy_step(state.energy, state.e, e_new, state.h, h_new, dt)
-    return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new, energy=energy_new,
+        np.multiply(curl_e.data, -0.5 * dt, out=half)
+        kick = medium.intensity(FormField(mesh, 2, half), out=half)
+        h_half = FormField(mesh, 1, np.add(kick.data, state.h.data), dual=True)
+        _cell_means(sums, _energy_terms(-1, 2, h_half.data, curl_e.data), fresh=True)
+        d_h = exterior_derivative(h_half, out=curl)
+        np.multiply(d_h.data, dt, out=half)
+        rise = medium.intensity(FormField(mesh, 2, half, dual=True), out=half)
+        e_new = FormField(mesh, 1, np.add(rise.data, e_n))
+        _cell_means(sums, _energy_terms(1, 1, e_n, e_new.data, d_h.data))
+        curl_new = exterior_derivative(e_new, out=curl)
+        _cell_means(sums, _energy_terms(-1, 2, h_half.data, curl_new.data))
+        # the second half-step goes into h_half's array, which becomes h_new
+        np.multiply(curl_new.data, -0.5 * dt, out=half)
+        np.add(h_half.data, medium.intensity(FormField(mesh, 2, half), out=half).data,
+               out=h_half.data)
+        h_new = h_half
+        D_new, B_new = medium.induction(e_new), medium.induction(h_new)
+    energy = np.multiply(sums, 0.5 * dt)
+    energy += state.energy.data
+    return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new,
+                        energy=FormField(mesh, 0, energy, dual=True),
                         time=state.time + dt), curl_new
 
 
@@ -270,15 +293,15 @@ def step_intensity(state, medium, cfg):
 
 
 def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=None,
-                    orientation=Orientation.DB):
+                    orientation=Orientation.DB, out=None):
     """Energy-balance and constraint diagnostics between two reported states.
 
     The balance residual is the rate of change of the energy functional
     plus the integrated divergence of the time-centered Poynting flux,
-    the same `cmx.dec.poynting_divergence` that drives the energy
-    coordinate; on
-    the whole periodic domain the divergence integral is identically zero
-    (discrete Stokes), so the residual is the pure drift rate.
+    `cmx.dec.poynting_divergence` of the summed intensities; on the whole
+    periodic domain the divergence integral is identically zero (discrete
+    Stokes), so the residual is the pure drift rate, and ``s_prev`` is read
+    only for its time when ``psi_prev`` is given.
 
     Residuals, energy and Hamiltonian density are measured in
     ``orientation``, which `run_scenario` sets to the run's own: DB reads
@@ -287,11 +310,16 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
     B - mu h as 2-forms.  ``psi_prev`` is the energy functional of
     ``s_prev`` over ``region`` in that orientation when the caller already
     has it, as `run_scenario` has from the previous row; the phase
-    residuals of ``s_next`` supply its energy density, co-energy density
-    and constitutive images to the rest of the report.
+    residuals of ``s_next`` supply its energy density and co-energy density
+    to the rest of the report.  ``out`` may name `PhaseResiduals` of this
+    orientation (see `cmx.fiber.phase_residuals`) whose arrays the report
+    works in, and overwrites; then it allocates no field array of its own
+    on states whose constitutive residuals are zero.
     """
-    res = phase_residuals(s_next, medium, orientation)
+    res = phase_residuals(s_next, medium, orientation, out=out)
     psi_next = functional(res.energy, region)
+    phi_next = functional(res.coenergy, region)
+    energy_residual = _max_abs(res.delta_energy.data)
     if psi_prev is None:
         psi_prev = psi_next if s_prev is s_next else functional(
             phase_residuals(s_prev, medium, orientation).energy, region)
@@ -301,18 +329,18 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
         flux = 0.0
     else:
         flux = 0.25 * integrate(
-            _centred_flux(s_prev.e, s_next.e, s_prev.h, s_next.h), region)
-
+            poynting_divergence(s_prev.e + s_next.e, s_prev.h + s_next.h), region)
+    # the density and the divergences go into the co-energy's and energy's arrays
     density = contact_hamiltonian_density(s_next, medium, orientation, kappa,
-                                          residuals=res)
+                                          residuals=res, out=res.coenergy.data)
     return DiagnosticsReport(
         time=s_next.time,
         psi_total=psi_next,
-        phi_total=functional(res.coenergy, region),
-        div_D_max=float(np.abs(exterior_derivative(s_next.D).data).max()),
-        div_B_max=float(np.abs(exterior_derivative(s_next.B).data).max()),
+        phi_total=phi_next,
+        div_D_max=_max_abs(exterior_derivative(s_next.D, out=res.energy.data).data),
+        div_B_max=_max_abs(exterior_derivative(s_next.B, out=res.energy.data).data),
         constitutive_residual_max=res.constitutive_max(),
-        energy_residual_max=float(np.abs(res.delta_energy.data).max()),
+        energy_residual_max=energy_residual,
         hamiltonian_functional=functional(density, region),
         poynting_balance_residual=rate + flux,
     )
@@ -331,7 +359,8 @@ def run_scenario(initial, medium, cfg, sinks=()):
     ``sinks`` are callables ``sink(state, step_index)`` invoked at every
     reported step (including step 0); snapshot stride logic belongs to the
     sink.  Returns the final state and the list of diagnostics rows.  Each
-    report takes the previous row's ``psi_total`` as its ``psi_prev``.
+    report takes the previous row's ``psi_total`` as its ``psi_prev``, so
+    only the previous row's time is kept, not its state.
     A reported state with a non-finite entry, the initial one included,
     raises `NonFiniteStateError`.
 
@@ -341,23 +370,33 @@ def run_scenario(initial, medium, cfg, sinks=()):
     are exactly zero, so a later report runs it twice (div D, div B).
     Outputs equal those of `step_induction` or `step_intensity` called
     once per step.
+
+    Memory: the run allocates one (12, N1, N2, N3) block up front.  Its
+    first three planes carry the curl from step to step, the next four are
+    each step's scratch, and the last nine hold each report's
+    `PhaseResiduals`; steps and reports never overlap in time, so they
+    share planes 3-6.  After that, a step allocates only the thirteen
+    arrays of the fresh state it hands the sinks, and a report none.
     """
-    state = initial
-    prev_reported = initial
     _check_finite(initial, 0)
+    work = np.empty((12, *initial.mesh.dims))
+    residuals = PhaseResiduals.empty(initial.mesh, cfg.orientation, out=work[3:])
+    state = initial
     reports = [poynting_report(initial, initial, medium, kappa=cfg.kappa,
-                               orientation=cfg.orientation)]
+                               orientation=cfg.orientation, out=residuals)]
     for sink in sinks:
         sink(initial, 0)
     curl_e = None
     for k in range(1, cfg.steps + 1):
-        state, curl_e = _leapfrog(state, medium, cfg, curl_e)
+        state, curl_e = _leapfrog(state, medium, cfg, curl_e, out=work[:7])
         if k % cfg.cadence == 0 or k == cfg.steps:
             _check_finite(state, k)
-            reports.append(poynting_report(prev_reported, state, medium, kappa=cfg.kappa,
+            # a whole-domain report handed psi_prev reads s_prev's time alone,
+            # so s_prev is this state at the last row's time
+            reports.append(poynting_report(replace(state, time=reports[-1].time), state,
+                                           medium, kappa=cfg.kappa,
                                            psi_prev=reports[-1].psi_total,
-                                           orientation=cfg.orientation))
-            prev_reported = state
+                                           orientation=cfg.orientation, out=residuals))
             for sink in sinks:
                 sink(state, k)
     return state, reports

@@ -17,9 +17,11 @@ maps are diagonal per component.  `MediumProfile.intensity` and
 stepper, preset and check goes through them, and only the two densities
 below read the staggered media themselves.  The energy and co-energy
 densities are quadratic, strictly convex functions of the respective six
-field components; their cell values use the same edge and face averaging
-as the Poynting pairing in `cmx.dynamics`, which makes the semi-discrete
-energy balance exact.
+field components; their cell values use the same edge and face means as
+the leapfrog's energy update in `cmx.dynamics`, which makes its discrete
+energy balance exact.  The densities, the constitutive maps, the phase
+residuals and the contact Hamiltonian density take ``out=`` arrays, so a
+run can form them without allocating field-size arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .contact import Generator
 from .dec import (
     FormField,
     WHOLE,
+    _slabs,
     component_offsets,
     exterior_derivative,
     integrate,
@@ -224,51 +227,122 @@ class MaxwellState:
         )
 
 
-def _to_cell(arr, degree, a):
-    """Component ``a`` of a pointwise product on the edges (``degree`` 1) or
-    faces (``degree`` 2), averaged onto the cell centers."""
-    return resample(arr, component_offsets(degree)[a], _CELL)
+def _moves_to_cell(offset):
+    """The one-axis (src, dst) offset moves, in axis order, from ``offset`` to the cell."""
+    moves = []
+    for ax in range(3):
+        if offset[ax] != _CELL[ax]:
+            dst = offset[:ax] + (_CELL[ax],) + offset[ax + 1:]
+            moves.append((offset, dst))
+            offset = dst
+    return moves
 
 
-def energy_density(D, B, medium):
+# (degree, component) -> the moves of that edge or face component to the cell
+_TO_CELL = {(degree, a): _moves_to_cell(offset)
+            for degree in (1, 2) for a, offset in enumerate(component_offsets(degree))}
+
+
+# The cell means keep two scratch slabs, where `exterior_derivative` keeps
+# seven, so their slabs are four times as thick: at 48^3 and 64^3 an energy
+# density took ~20% less time than with the differences' slabs (2-vCPU
+# x86, interleaved in-process medians).
+_MEAN_SLAB_BYTES = 1 << 19
+
+
+def _cell_means(out, terms, fresh=False):
+    """Add to ``out`` pointwise products on the edges or faces, each averaged
+    onto the cell centers; with ``fresh``, ``out`` starts from +0.0.
+
+    ``terms`` lists ``(degree, a, sign, fill)``: ``fill(a, planes, p)``
+    writes component ``a`` of a product on the edges (``degree`` 1) or
+    faces (``degree`` 2) over a slice of first-axis planes into ``p``, and
+    ``sign`` adds (+1) or subtracts (-1) its cell mean.  The work goes slab
+    by slab, so the scratch is two slabs, not two fields.  Where there are
+    several slabs, a mean along the first axis reads the plane after the
+    slab, which the product is formed on too; `resample` wraps that
+    frame's last plane, which is dropped.  Each value, mean and sum is the
+    whole-field one, bit for bit, added in the order of ``terms``.
+    """
+    dims = out.shape
+    slabs = _slabs(dims, _MEAN_SLAB_BYTES)
+    # one slab is the whole field, whose own means wrap the first axis
+    frame = int(len(slabs) > 1)
+    work = np.empty((2, max(i1 - i0 for i0, i1 in slabs) + frame, *dims[1:]))
+    plans = [(a, fill, np.add if sign > 0 else np.subtract, _TO_CELL[degree, a],
+              frame * (_TO_CELL[degree, a][0][0][0] != _CELL[0]))
+             for degree, a, sign, fill in terms]
+    for i0, i1 in slabs:
+        rows = i1 - i0
+        acc = out[i0:i1]
+        if fresh:
+            acc.fill(0.0)
+        for a, fill, op, moves, framed in plans:
+            p, spare = work[0, :rows + framed], work[1, :rows + framed]
+            fill(a, slice(i0, i1), p[:rows])
+            if framed:
+                fill(a, slice(i1 % dims[0], i1 % dims[0] + 1), p[rows:])
+            for src, dst in moves:
+                p, spare = resample(p, src, dst, out=spare)[:rows], p[:rows]
+            op(acc, p, out=acc)
+    return out
+
+
+def _density(mesh, out, edge, face, scale=None):
+    """The cell density, sum over a of the means of ``edge`` and ``face``
+    products (`_cell_means` fills), times ``scale``."""
+    if out is None:
+        out = np.empty(mesh.dims)
+    _cell_means(out, [(degree, a, 1, fill) for a in range(3)
+                      for degree, fill in ((1, edge), (2, face))], fresh=True)
+    if scale is not None:
+        out *= scale
+    return FormField(mesh, 0, out, dual=True)
+
+
+def _squared_over(x, w):
+    """The fill of x_a^2 / w_a."""
+    return lambda a, sl, p: np.divide(np.square(x[a][sl], out=p), w[a][sl], out=p)
+
+
+def _weighted_square(x, w):
+    """The fill of w_a x_a^2."""
+    return lambda a, sl, p: np.multiply(w[a][sl], np.square(x[a][sl], out=p), out=p)
+
+
+def _product(x, y):
+    """The fill of x_a y_a."""
+    return lambda a, sl, p: np.multiply(x[a][sl], y[a][sl], out=p)
+
+
+def energy_density(D, B, medium, out=None):
     """Quadratic energy density of the inductions, as a cell 0-form.
 
     Half the metric square of star(D) weighted by 1/eps plus the same for
     star(B) with 1/mu; nonnegative, zero only where both fields vanish.
+    ``out`` may name the (N1, N2, N3) array that receives it.
     """
     _expect(D, 2, True, "D")
     _expect(B, 2, False, "B")
     if D.mesh != medium.mesh or B.mesh != medium.mesh:
         raise ValueError("fields and medium live on different meshes")
-    # weighted one component at a time: weighting whole fields at once
-    # raised a 64^3 run's memory peak, which sits in the report, by 8 MiB
-    total = np.zeros(medium.mesh.dims)
-    for a in range(3):
-        total += _to_cell(D.data[a] ** 2 / medium.eps_edge[a], 1, a)
-        total += _to_cell(B.data[a] ** 2 / medium.mu_face[a], 2, a)
-    return FormField(medium.mesh, 0, 0.5 * total, dual=True)
+    return _density(medium.mesh, out, _squared_over(D.data, medium.eps_edge),
+                    _squared_over(B.data, medium.mu_face), 0.5)
 
 
-def coenergy_density(e, h, medium):
+def coenergy_density(e, h, medium, out=None):
     """Quadratic co-energy density of the intensities, as a cell 0-form."""
     _expect(e, 1, False, "e")
     _expect(h, 1, True, "h")
     if e.mesh != medium.mesh or h.mesh != medium.mesh:
         raise ValueError("fields and medium live on different meshes")
-    total = np.zeros(medium.mesh.dims)  # one component at a time, as energy_density
-    for a in range(3):
-        total += _to_cell(medium.eps_edge[a] * e.data[a] ** 2, 1, a)
-        total += _to_cell(medium.mu_face[a] * h.data[a] ** 2, 2, a)
-    return FormField(medium.mesh, 0, 0.5 * total, dual=True)
+    return _density(medium.mesh, out, _weighted_square(e.data, medium.eps_edge),
+                    _weighted_square(h.data, medium.mu_face), 0.5)
 
 
-def pairing_density(D, B, e, h):
+def pairing_density(D, B, e, h, out=None):
     """Componentwise pairing star(D).e + star(B).h as a cell 0-form."""
-    total = np.zeros(D.mesh.dims)
-    for a in range(3):
-        total += _to_cell(D.data[a] * e.data[a], 1, a)
-        total += _to_cell(B.data[a] * h.data[a], 2, a)
-    return FormField(D.mesh, 0, total, dual=True)
+    return _density(D.mesh, out, _product(D.data, e.data), _product(B.data, h.data))
 
 
 def functional(density, region=WHOLE):
@@ -282,22 +356,31 @@ def functional(density, region=WHOLE):
     return integrate(FormField(density.mesh, 3, density.data, not density.dual), region)
 
 
-def intensity_from_induction(D, B, medium):
+def intensity_from_induction(D, B, medium, out=None):
     """Constitutive map e = star(D)/eps, h = star(B)/mu.
 
     The medium is sampled at the staggered location of each target
-    component, so the map is a collocated diagonal rescaling.
+    component, so the map is a collocated diagonal rescaling.  ``out`` may
+    name the pair of arrays that receive e and h.
     """
     _expect(D, 2, True, "D")
     _expect(B, 2, False, "B")
-    return medium.intensity(D), medium.intensity(B)
+    out_e, out_h = (None, None) if out is None else out
+    return medium.intensity(D, out=out_e), medium.intensity(B, out=out_h)
 
 
-def induction_from_intensity(e, h, medium):
-    """Constitutive map D = eps * star(e), B = mu * star(h)."""
+def induction_from_intensity(e, h, medium, out=None):
+    """Constitutive map D = eps * star(e), B = mu * star(h); ``out`` as in
+    `intensity_from_induction`."""
     _expect(e, 1, False, "e")
     _expect(h, 1, True, "h")
-    return medium.induction(e), medium.induction(h)
+    out_D, out_B = (None, None) if out is None else out
+    return medium.induction(e, out=out_D), medium.induction(h, out=out_B)
+
+
+def _max_abs(arr):
+    """max |arr| without the array of absolute values (+0.0 for all zeros)."""
+    return abs(max(float(arr.max()), -float(arr.min())))
 
 
 @dataclass(frozen=True)
@@ -305,11 +388,9 @@ class PhaseResiduals:
     """Residuals that vanish exactly when the state sits on the phase space
     of the chosen orientation (constitutive and energy relations hold).
 
-    ``energy`` is the energy density the evolved pair implies and
-    ``images`` are the evolved pair's constitutive images, both as formed
-    for the residuals: DB keeps energy_density(D, B) and (star(D)/eps,
-    star(B)/mu); EH keeps pairing - co-energy and (eps star(e), mu star(h)).
-    ``coenergy`` is coenergy_density(e, h) in both orientations.
+    ``energy`` is the energy density the evolved pair implies, as formed
+    for the residuals: energy_density(D, B) in DB, pairing - co-energy in
+    EH.  ``coenergy`` is coenergy_density(e, h) in both orientations.
     """
 
     orientation: Orientation
@@ -317,53 +398,65 @@ class PhaseResiduals:
     delta_De: FormField
     delta_Bh: FormField
     energy: FormField
-    images: tuple
     coenergy: FormField
 
+    @classmethod
+    def empty(cls, mesh, orientation, out=None):
+        """Residuals with uninitialized arrays, for `phase_residuals`' ``out``.
+
+        ``out`` may name the (9, N1, N2, N3) block that holds them, in the
+        order delta_De, delta_Bh, delta_energy, energy, coenergy.
+        """
+        if out is None:
+            out = np.empty((9, *mesh.dims))
+        degree, dual = (1, False) if orientation is Orientation.DB else (2, True)
+        return cls(orientation,
+                   delta_energy=FormField(mesh, 0, out[6], dual=True),
+                   delta_De=FormField(mesh, degree, out[0:3], dual),
+                   delta_Bh=FormField(mesh, degree, out[3:6], not dual),
+                   energy=FormField(mesh, 0, out[7], dual=True),
+                   coenergy=FormField(mesh, 0, out[8], dual=True))
+
     def max_abs(self):
-        return max(float(np.abs(self.delta_energy.data).max()), self.constitutive_max())
+        return max(_max_abs(self.delta_energy.data), self.constitutive_max())
 
     def constitutive_max(self):
-        return max(
-            float(np.abs(self.delta_De.data).max()),
-            float(np.abs(self.delta_Bh.data).max()),
-        )
+        return max(_max_abs(self.delta_De.data), _max_abs(self.delta_Bh.data))
 
 
-def phase_residuals(state, medium, orientation):
+def phase_residuals(state, medium, orientation, out=None):
     """Residuals of the induction- or intensity-oriented phase space.
 
     DB: (energy density - energy, star(D)/eps - e, star(B)/mu - h) with the
     field residuals as 1-forms.  EH: (pairing - co-energy - energy,
     D - eps star(e), B - mu star(h)) with the field residuals as 2-forms.
+    ``out`` may name residuals of the same orientation and mesh, from
+    `PhaseResiduals.empty` or an earlier call, whose arrays receive these
+    and which are returned.
     """
-    coenergy = coenergy_density(state.e, state.h, medium)
+    if out is None:
+        out = PhaseResiduals.empty(medium.mesh, orientation)
+    elif out.orientation is not orientation or out.energy.mesh != medium.mesh:
+        raise ValueError("out holds residuals of another orientation or mesh")
+    de, dDe, dBh = out.delta_energy.data, out.delta_De.data, out.delta_Bh.data
+    coenergy_density(state.e, state.h, medium, out=out.coenergy.data)
     if orientation is Orientation.DB:
-        e_c, h_c = intensity_from_induction(state.D, state.B, medium)
-        energy = energy_density(state.D, state.B, medium)
-        return PhaseResiduals(
-            orientation=orientation,
-            delta_energy=energy - state.energy,
-            delta_De=e_c - state.e,
-            delta_Bh=h_c - state.h,
-            energy=energy,
-            images=(e_c, h_c),
-            coenergy=coenergy,
-        )
-    D_c, B_c = induction_from_intensity(state.e, state.h, medium)
-    energy = pairing_density(state.D, state.B, state.e, state.h) - coenergy
-    return PhaseResiduals(
-        orientation=orientation,
-        delta_energy=energy - state.energy,
-        delta_De=state.D - D_c,
-        delta_Bh=state.B - B_c,
-        energy=energy,
-        images=(D_c, B_c),
-        coenergy=coenergy,
-    )
+        energy_density(state.D, state.B, medium, out=out.energy.data)
+        intensity_from_induction(state.D, state.B, medium, out=(dDe, dBh))
+        np.subtract(dDe, state.e.data, out=dDe)
+        np.subtract(dBh, state.h.data, out=dBh)
+    else:
+        pairing_density(state.D, state.B, state.e, state.h, out=out.energy.data)
+        np.subtract(out.energy.data, out.coenergy.data, out=out.energy.data)
+        induction_from_intensity(state.e, state.h, medium, out=(dDe, dBh))
+        np.subtract(state.D.data, dDe, out=dDe)
+        np.subtract(state.B.data, dBh, out=dBh)
+    np.subtract(out.energy.data, state.energy.data, out=de)
+    return out
 
 
-def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals=None):
+def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals=None,
+                                out=None):
     """Density whose volume functional generates the restricted dynamics.
 
     Sum of the Hodge duals of the constitutive residuals wedged with the
@@ -371,16 +464,18 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals
     kappa times the energy residual.  Identically zero (to rounding) on
     states satisfying the constitutive and energy relations.
     ``residuals`` may hand in ``phase_residuals(state, medium,
-    orientation)`` when the caller has already formed them.
+    orientation)`` when the caller has already formed them, and ``out``
+    the (N1, N2, N3) array that receives the density.
 
-    The sum starts from +0.0, and a residual without a nonzero entry adds
-    nothing, so its curl is not formed: on a run's reported states, whose
-    constitutive residuals are exactly zero in the run's own orientation,
-    the density is kappa times the energy residual.  Off-shell states go
-    through the full formula.  The velocity factor of B is minus a curl;
-    its term is subtracted rather than wedged with a negated copy, which
-    gives the same bits.  The star of each 3-form is the 0-form with the
-    same array.
+    The sum starts from +0.0 and ends with the energy term, formed in
+    ``out``; a residual without a nonzero entry adds nothing, so its curl
+    is not formed: on a run's reported
+    states, whose constitutive residuals are exactly zero in the run's own
+    orientation, the density is kappa times the energy residual.  Off-shell
+    states go through the full formula.  The velocity factor of B is minus
+    a curl; its term is subtracted rather than wedged with a negated copy,
+    which gives the same bits.  The star of each 3-form is the 0-form with
+    the same array.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -389,20 +484,19 @@ def contact_hamiltonian_density(state, medium, orientation, kappa=1.0, residuals
     elif residuals.orientation is not orientation:
         raise ValueError("residuals were formed for the other orientation")
     db = orientation is Orientation.DB
-    # DB curls the images star(D)/eps and star(B)/mu, EH the evolved intensities
-    e_c, h_c = residuals.images if db else (state.e, state.h)
-    density = np.zeros(medium.mesh.dims)
+    energy_term = np.multiply(residuals.delta_energy.data, kappa, out=out)
+    density = 0.0
     if residuals.delta_De.data.any():
-        F_De = exterior_derivative(h_c)
+        # DB curls the images star(D)/eps and star(B)/mu, EH the evolved intensities
+        F_De = exterior_derivative(medium.intensity(state.B) if db else state.h)
         F_De = F_De if db else medium.intensity(F_De)
-        density += wedge(residuals.delta_De, F_De).data
+        density = density + wedge(residuals.delta_De, F_De).data
         del F_De  # the D term is finished before the second curl is formed
     if residuals.delta_Bh.data.any():
-        minus_F_Bh = exterior_derivative(e_c)
+        minus_F_Bh = exterior_derivative(medium.intensity(state.D) if db else state.e)
         minus_F_Bh = minus_F_Bh if db else medium.intensity(minus_F_Bh)
-        density -= wedge(residuals.delta_Bh, minus_F_Bh).data
-    density += kappa * residuals.delta_energy.data
-    return FormField(medium.mesh, 0, density, dual=True)
+        density = density - wedge(residuals.delta_Bh, minus_F_Bh).data
+    return FormField(medium.mesh, 0, np.add(density, energy_term, out=energy_term), dual=True)
 
 
 def energy_quadratic(eps, mu):

@@ -458,6 +458,14 @@ def _linear_fit_slope(times, values):
     return float(slope)
 
 
+def _modified_energy(state, medium, dt):
+    """The cell density w = psi - (dt^2 / 8) mean((d e)^2 / mu) that the
+    leapfrog's energy balance conserves exactly, as an (N1, N2, N3) array."""
+    zero = FormField.zeros(state.mesh, 2, dual=True)
+    curl = energy_density(zero, exterior_derivative(state.e), medium)
+    return energy_density(state.D, state.B, medium).data - (0.25 * dt * dt) * curl.data
+
+
 def suite_dynamics(seed=0):
     results = []
 
@@ -502,6 +510,28 @@ def suite_dynamics(seed=0):
     g1, g2 = worst_energy_gap(1), worst_energy_gap(2)
     results.append(_check("dynamics.energy_bookkeeping_order", g1 / g2, 3.8,
                           larger_ok=True))
+
+    # the energy coordinate advances on the leapfrog's exact discrete balance:
+    # E - w keeps its initial value in every cell, where w is psi less the
+    # O(dt^2) modified-energy term (dt^2 / 8) mean((d e)^2 / mu); random
+    # media and rough divergence-free data, 200 steps near the limit
+    rng = np.random.default_rng(seed)
+    mesh_x = Mesh((12, 10, 8), spacing=0.5)
+    med_x = MediumProfile(mesh_x, 1.0 + 2.0 * rng.random(mesh_x.dims),
+                          1.0 + rng.random(mesh_x.dims))
+    s_x = MaxwellState.from_induction(
+        exterior_derivative(_random_field(rng, mesh_x, 1, dual=True)),
+        exterior_derivative(_random_field(rng, mesh_x, 1)), med_x)
+    balance = 0.0
+    for orientation in (Orientation.DB, Orientation.EH):
+        cfg_x = SchemeConfig.from_cfl(mesh_x, med_x, cfl=0.95, orientation=orientation,
+                                      steps=200, cadence=200)
+        w0 = _modified_energy(s_x, med_x, cfg_x.dt)
+        end, _ = run_scenario(s_x, med_x, cfg_x)
+        drift = (end.energy.data - _modified_energy(end, med_x, cfg_x.dt)) \
+            - (s_x.energy.data - w0)
+        balance = max(balance, float(np.abs(drift).max() / np.abs(w0).max()))
+    results.append(_check("dynamics.energy_exact_balance", balance, 2e-14))
 
     # criterion 7: the two orientations agree and the Hamiltonian stays zero
     med7 = MediumProfile.uniform(mesh, 2.0, 3.0)

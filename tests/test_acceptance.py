@@ -74,7 +74,8 @@ def test_criterion_05_constraint_conservation():
 def test_criterion_06_poynting_energy():
     criterion(6, "energy balance and bookkeeping", "dynamics",
               ["dynamics.energy_secular_drift",
-               "dynamics.energy_bookkeeping_order"])
+               "dynamics.energy_bookkeeping_order",
+               "dynamics.energy_exact_balance"])
 
 
 def test_criterion_07_dual_formulations():

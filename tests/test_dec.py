@@ -71,6 +71,20 @@ class TestExteriorDerivative:
         dd = exterior_derivative(exterior_derivative(f))
         assert np.abs(dd.data).max() <= 8 * np.finfo(float).eps * np.abs(f.data).max()
 
+    @pytest.mark.parametrize("dims", [(8, 6, 4), (40, 20, 24)])
+    @pytest.mark.parametrize("degree,dual", [(0, False), (1, False), (1, True), (2, True)])
+    def test_out_receives_the_same_bits(self, dims, degree, dual):
+        # (40, 20, 24) is worked in several slabs, (8, 6, 4) in one
+        m = Mesh(dims, spacing=0.7)
+        shape = dims if degree == 0 else (3, *dims)
+        alpha = FormField(m, degree, np.random.default_rng(degree).standard_normal(shape), dual)
+        expected = exterior_derivative(alpha)
+        out = np.full(expected.data.shape, np.nan)
+        got = exterior_derivative(alpha, out=out)
+        assert got.data is out and out.tobytes() == expected.data.tobytes()
+        with pytest.raises(ValueError):
+            exterior_derivative(alpha, out=np.empty((2, *dims)))
+
     def test_sine_curl_matches_centered_difference(self):
         # a 1-form with only the middle component, varying along the first
         # axis, has a single curl component on the matching faces

@@ -1,5 +1,7 @@
 """Leapfrog stepping, diagnostics, and the potential-form oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,6 +392,66 @@ class TestCarriedCurl:
         density = contact_hamiltonian_density(final, vacuum, orientation, 1.5)
         assert not density.data.any()
         assert not np.signbit(density.data).any()
+
+
+def modified_energy(state, medium, dt):
+    """w = psi - (dt^2 / 8) mean((d e)^2 / mu) per cell: twice the energy
+    density of B = d e alone is the face mean of (d e)^2 / mu."""
+    curl = exterior_derivative(state.e)
+    zero = FormField.zeros(state.mesh, 2, dual=True)
+    return (energy_density(state.D, state.B, medium).data
+            - 0.25 * dt * dt * energy_density(zero, curl, medium).data)
+
+
+class TestExactEnergyBalance:
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("cfl", [0.5, 0.95])
+    def test_energy_minus_modified_energy_is_constant_per_cell(self, orientation, cfl):
+        # the Yee energy identity: E_n - E_0 = w_n - w_0 in every cell, to
+        # rounding, on random media and rough divergence-free data
+        rng = np.random.default_rng(11)
+        mesh = Mesh((20, 16, 24), spacing=0.5)
+        medium = MediumProfile(mesh, 1.0 + 2.0 * rng.random(mesh.dims),
+                               1.0 + rng.random(mesh.dims))
+        shape = (3, *mesh.dims)
+        D = exterior_derivative(FormField(mesh, 1, rng.standard_normal(shape), dual=True))
+        B = exterior_derivative(FormField(mesh, 1, rng.standard_normal(shape)))
+        initial = MaxwellState.from_induction(D, B, medium)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=cfl, steps=200, cadence=40,
+                                    orientation=orientation)
+        w0 = modified_energy(initial, medium, cfg.dt)
+        gap0 = initial.energy.data - w0
+        _, _, seen = reported_run(initial, medium, cfg)
+        assert len(seen) == 6
+        for state in seen:
+            drift = state.energy.data - modified_energy(state, medium, cfg.dt) - gap0
+            assert np.abs(drift).max() <= 1e-14 * np.abs(w0).max()
+
+
+class TestRunMemory:
+    """Traced peak of a whole run, in whole field arrays."""
+
+    DIMS = (32, 32, 32)
+
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    def test_run_peak_stays_pinned(self, orientation):
+        # the input and output states of a step (13 arrays each) and the
+        # run's (12, N1, N2, N3) workspace; nothing else of field size lives
+        # across a step or a report
+        mesh = Mesh(self.DIMS)
+        medium = MediumProfile.uniform(mesh, 2.0, 3.0)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=8, cadence=1,
+                                    orientation=orientation)
+        initial = plane_wave_state(mesh, medium, cfg.dt, axis=0, wavelength=16.0,
+                                   polarization=1)
+        run_scenario(initial, medium, cfg)  # the shift plans are memoised on the first run
+        tracemalloc.start()
+        try:
+            run_scenario(initial, medium, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * np.prod(self.DIMS)) <= 40
 
 
 class TestNonFiniteState:

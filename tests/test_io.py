@@ -189,6 +189,20 @@ class TestConfig:
         assert lineno == 1 and key in msg and "one integer" in msg
         assert f"line 1: {key}" in str(err.value)
 
+    @pytest.mark.parametrize("text,named", [
+        ("scheme.steps = x", "scheme.steps"), ("scheme.cadence = 2.5", "scheme.cadence"),
+        ("grid.dims = 8 8 x", "grid.dims"),
+        ("outputs.snapshot_stride = ten", "outputs.snapshot_stride"),
+        ("initial.preset = plane_wave x 16.0 2 1.0", "plane_wave axis"),
+        ("initial.preset = plane_wave 1 16.0 y 1.0", "plane_wave polarization"),
+    ])
+    def test_non_integer_tokens_name_the_key(self, text, named):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        (lineno, msg), = err.value.errors
+        assert lineno == 1 and named in msg and "expects an integer" in msg
+        assert "invalid literal" not in msg
+
     @given(st.lists(config_line, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_fuzzed_text_parses_or_raises_config_error(self, lines):
