@@ -45,7 +45,6 @@ class ScenarioConfig:
     kappa: float = 1.0
     out_dir: str = "out"
     snapshot_stride: int = 0
-    seed: int = 0
 
     def to_text(self):
         """Canonical echo; re-parsing it reproduces this configuration."""
@@ -68,7 +67,6 @@ class ScenarioConfig:
             f"scheme.kappa = {self.kappa!r}",
             f"outputs.directory = {self.out_dir}",
             f"outputs.snapshot_stride = {self.snapshot_stride}",
-            f"run.seed = {self.seed}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -102,7 +100,7 @@ def _parse_floats(parts, count, what):
 
 # integer keys: the ScenarioConfig field each sets and its least value
 _INTEGER_KEYS = {"scheme.steps": ("steps", 0), "scheme.cadence": ("cadence", 1),
-                 "outputs.snapshot_stride": ("snapshot_stride", 0), "run.seed": ("seed", None)}
+                 "outputs.snapshot_stride": ("snapshot_stride", 0)}
 
 
 def _int(token, what):
@@ -113,12 +111,12 @@ def _int(token, what):
         raise ValueError(f"{what} expects an integer, got {token!r}") from None
 
 
-def _parse_int(parts, key, least=None):
-    """The one integer token of ``key``, at least ``least`` when that is given."""
+def _parse_int(parts, key, least):
+    """The one integer token of ``key``, at least ``least``."""
     if len(parts) != 1:
         raise ValueError(f"{key} expects one integer, got {len(parts)} values")
     n = _int(parts[0], key)
-    if least is not None and n < least:
+    if n < least:
         raise ValueError(f"{key} must be >= {least}")
     return n
 

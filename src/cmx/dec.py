@@ -17,9 +17,10 @@ one-cell difference minus 1/24 of the three-cell one, forward on the
 primal complex and backward on the dual one; `difference_symbol` is its
 Fourier symbol.  Products of forms (`wedge`, `resample`) move values with
 two-point means; the energy flux that pairs exactly with the four-point
-difference is `poynting_divergence`.  Every periodic shift, in the
-differences, the flux and the means alike, goes through one primitive,
-`_periodic`.  All factors of the grid spacing live in
+difference is `poynting_divergence`, a whole-field oracle.  Every periodic
+shift, in the differences, the flux and the means alike, goes through one
+primitive, `_periodic`; only `exterior_derivative`, run every step, works
+big fields in slabs.  All factors of the grid spacing live in
 ``exterior_derivative``, ``poynting_divergence`` and ``integrate``.
 
 2-form component ``a`` is the coefficient of sigma^b ^ sigma^c with
@@ -208,6 +209,14 @@ class Region:
     lo: tuple | None = None
     hi: tuple | None = None
 
+    def __post_init__(self):
+        if self.lo is None and self.hi is None:
+            return
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if not (isinstance(bound, (tuple, list)) and len(bound) == 3
+                    and all(isinstance(i, (int, np.integer)) for i in bound)):
+                raise ValueError(f"region box {name} must be 3 integers, got {bound!r}")
+
     @property
     def is_whole(self):
         return self.lo is None
@@ -255,13 +264,14 @@ def _periodic(op, a, sa, b, sb, axis, out):
     """out_i = op(a_{i+sa}, b_{i+sb}) along ``axis``, with periodic indices.
 
     The module's one periodic shift: `_rows` calls it for the differences
-    of `exterior_derivative` and the flux of `poynting_divergence`, and
-    `_mean_half` for the two-point means of `resample` and the products
-    built on it.  One pass over the flattened arrays is right wherever
-    neither shifted index leaves [0, n); the few hyperplanes where one
-    wraps are redone from their periodic images.  The flat slices come
-    from ``a.strides``, so ``a``, ``b`` and ``out`` must be C-contiguous
-    arrays of one shape, and ``out`` must overlap neither input.
+    of `exterior_derivative`, `_flux_pairing` and `poynting_divergence`
+    for the flux, and `_mean_half` for the two-point means of `resample`
+    and the products built on it.  One pass over the flattened arrays is
+    right wherever neither shifted index leaves [0, n); the few
+    hyperplanes where one wraps are redone from their periodic images.
+    The flat slices come from ``a.strides``, so ``a``, ``b`` and ``out``
+    must be C-contiguous arrays of one shape, and ``out`` must overlap
+    neither input.
     """
     key = (a.shape, axis, sa, sb)
     plan = _PERIODIC_PLANS.get(key)
@@ -286,15 +296,15 @@ def _periodic(op, a, sa, b, sb, axis, out):
     return out
 
 
-# Big fields are worked on in slabs of whole planes along the first axis,
-# small enough that a slab's scratch arrays stay in a core's cache (and are
-# reused by the allocator rather than faulted in afresh); a field that fits
-# one slab is worked whole.  Against whole-field passes a 64^3 leapfrog
-# steps ~35% more cells per second and a 48^3 one as many, while framing
-# one-slab fields like slabs made 16^3 report intervals ~24% longer
-# (2-vCPU x86, 4 MiB L2, ten alternating runs each).  A slab that is not
-# the whole axis reads _HALO planes beyond either side of it for the
-# shifts along that axis.
+# `exterior_derivative`, run every step, works big fields in slabs of whole
+# planes along the first axis, small enough that a slab's scratch arrays
+# stay in a core's cache (and are reused by the allocator rather than
+# faulted in afresh); a field that fits one slab is worked whole.  Against
+# whole-field passes a 64^3 leapfrog steps ~35% more cells per second and
+# a 48^3 one as many, while framing one-slab fields like slabs made 16^3
+# report intervals ~24% longer (2-vCPU x86, 4 MiB L2, ten alternating runs
+# each).  A slab that is not the whole axis reads _HALO planes beyond
+# either side of it for the shifts along that axis.
 _SLAB_BYTES = 1 << 17
 _HALO = 2
 
@@ -310,26 +320,19 @@ def _planes(arr, lo, hi, buf):
 
     A view of ``arr`` when no index wraps, else assembled in ``buf``.
     """
-    n = len(arr)
-    if 0 <= lo and hi <= n:
+    if 0 <= lo and hi <= len(arr):
         return arr[lo:hi]
-    out = buf[:hi - lo]
-    i = lo
-    while i < hi:
-        j = i % n
-        step = min(n - j, hi - i)
-        out[i - lo: i - lo + step] = arr[j: j + step]
-        i += step
-    return out
+    return np.take(arr, range(lo, hi), axis=0, out=buf[:hi - lo], mode="wrap")
 
 
 def _rows(op, a, sa, b, sb, axis, out, base=None):
     """out_j = op(a, b) at the planes base + j, shifted by sa and sb along axis.
 
-    With ``base`` None the arrays hold whole fields and every shift is
-    periodic.  Otherwise they hold a slab with extra planes: along the
-    first axis the shifts select other planes, which ``a`` and ``b`` must
-    hold; along the other two they are periodic.
+    The shifts of `exterior_derivative`'s differences.  With ``base`` None
+    the arrays hold whole fields and every shift is periodic.  Otherwise
+    they hold a slab with extra planes: along the first axis the shifts
+    select other planes, which ``a`` and ``b`` must hold; along the other
+    two they are periodic.
     """
     if base is None:
         return _periodic(op, a, sa, b, sb, axis, out)
@@ -555,26 +558,24 @@ def wedge(alpha, beta):
     raise ValueError(f"unsupported wedge degree pair ({qa}, {qb})")
 
 
-def _flux_pairing(e, h, axis, out, work, base):
-    """Face flux along ``axis`` of a product e h, over _C1 / 2, for planes of a slab.
+def _flux_pairing(e, h, axis, out, work):
+    """Face flux along ``axis`` of a product e h, over _C1 / 2, into ``out``.
 
     ``e`` sits on the nodes of the axis and ``h`` half a cell ahead of its
-    index; the flux lands on the nodes.  ``out`` takes the flux on the
-    planes base, base + 1, ... of ``e`` and ``h``, or on the whole field
-    for ``base`` None (see `_rows`).  Summation by parts of
-    the (2,4) difference gives F = _C1 F1 + _C3 F3 with
+    index; the flux lands on the nodes.  Summation by parts of the (2,4)
+    difference gives F = _C1 F1 + _C3 F3 with
         F1_i = e_i (h_{i+1/2} + h_{i-1/2}) / 2,
         F3_i = e_i (h_{i+3/2} + h_{i-3/2}) / 2 + e_{i-1} h_{i+1/2}
                + e_{i+1} h_{i-1/2}.
     """
-    pair, long, cross = (w[:len(out)] for w in work)
-    _rows(np.add, h, 0, h, -1, axis, pair, base)
-    _rows(np.add, h, 1, h, -2, axis, long, base)
+    pair, long, cross = work
+    _periodic(np.add, h, 0, h, -1, axis, pair)
+    _periodic(np.add, h, 1, h, -2, axis, long)
     long *= _C3 / _C1
     pair += long
-    np.multiply(pair, e if base is None else e[base: base + len(out)], out=out)
-    _rows(np.multiply, e, -1, h, 0, axis, cross, base)
-    _rows(np.multiply, e, 1, h, -1, axis, long, base)
+    np.multiply(pair, e, out=out)
+    _periodic(np.multiply, e, -1, h, 0, axis, cross)
+    _periodic(np.multiply, e, 1, h, -1, axis, long)
     cross += long
     cross *= 2.0 * _C3 / _C1
     out += cross
@@ -594,7 +595,8 @@ def poynting_divergence(e, h):
 
     so the semi-discrete energy balance d/dt psi_cell = -div holds exactly
     pointwise, and the integral over any box is the flux through its
-    boundary.  Returns a primal 3-form.
+    boundary.  Box-region reports use it as that balance's oracle; it is
+    computed over whole fields.  Returns a primal 3-form.
     """
     if e.degree != 1 or e.dual or h.degree != 1 or not h.dual:
         raise ValueError("poynting_divergence expects a primal and a dual 1-form")
@@ -603,43 +605,20 @@ def poynting_divergence(e, h):
     mesh, dims = e.mesh, e.mesh.dims
     e_data, h_data = (np.ascontiguousarray(f.data, dtype=float) for f in (e, h))
     div = np.empty(dims)
-    slabs = _slabs(dims)
-    halo = len(slabs) > 1
-    span = max(i1 - i0 for i0, i1 in slabs) + 1
-    work = [np.empty((span, *dims[1:])) for _ in range(3)]
-    flux_ab, flux_ba, net = (np.empty((span, *dims[1:])) for _ in range(3))
-    frames = np.empty((6, span + 2 * _HALO - 1, *dims[1:]))
-    scale = 0.25 * _C1 / mesh.spacing
-    for i0, i1 in slabs:
-        rows = i1 - i0
-        if halo:
-            # the inputs' frames start _HALO planes before the slab, the
-            # fluxes at its first plane
-            lo, hi, base, flux_base, extra = i0 - _HALO, i1 + _HALO, _HALO, 0, 1
+    *work, flux_ab, flux_ba, net = (np.empty(dims) for _ in range(6))
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        # e_a h_b - e_b h_a through the faces normal to c; each product's
+        # shared transverse axis (b, then a) takes a two-point sum
+        f_ab = _flux_pairing(e_data[a], h_data[b], c, flux_ab, work)
+        f_ba = _flux_pairing(e_data[b], h_data[a], c, flux_ba, work)
+        _periodic(np.add, f_ab, 0, f_ab, 1, b, net)
+        net -= _periodic(np.add, f_ba, 0, f_ba, 1, a, work[0])
+        if c == 0:
+            _periodic(np.subtract, net, 1, net, 0, c, div)
         else:
-            lo, hi, base, flux_base, extra = i0, i1, None, None, 0
-        ev = [_planes(e_data[k], lo, hi, frames[k]) for k in range(3)]
-        hv = [_planes(h_data[k], lo, hi, frames[3 + k]) for k in range(3)]
-        out = div[i0:i1]
-        for c in range(3):
-            a, b = (c + 1) % 3, (c + 2) % 3
-            # e_a h_b - e_b h_a through the faces normal to c; each product's
-            # shared transverse axis (b, then a) takes a two-point sum.  In a
-            # slab, a sum or difference along the first axis reads one more
-            # plane.
-            n_net = rows + extra * (c == 0)
-            f_ab = _flux_pairing(ev[a], hv[b], c,
-                                 flux_ab[:n_net + extra * (b == 0)], work, base)
-            f_ba = _flux_pairing(ev[b], hv[a], c,
-                                 flux_ba[:n_net + extra * (a == 0)], work, base)
-            total = _rows(np.add, f_ab, 0, f_ab, 1, b, net[:n_net], flux_base)
-            total -= _rows(np.add, f_ba, 0, f_ba, 1, a, work[0][:n_net], flux_base)
-            if c == 0:
-                _rows(np.subtract, total, 1, total, 0, c, out, flux_base)
-            else:
-                out += _rows(np.subtract, total, 1, total, 0, c, work[1][:rows],
-                             flux_base)
-        out *= scale
+            div += _periodic(np.subtract, net, 1, net, 0, c, work[1])
+    div *= 0.25 * _C1 / mesh.spacing
     return FormField(mesh, 3, div, dual=False)
 
 

@@ -97,8 +97,8 @@ class NonFiniteStateError(RuntimeError):
 def _first_nonfinite(step, pairs):
     """NonFiniteStateError at the first non-finite entry of ``(name, FormField)`` pairs.
 
-    The pairs are searched in order and each array in C order; the caller
-    has found that some entry is non-finite.
+    The pairs are searched in order and each array in C order; None when
+    every entry is finite.
     """
     for name, field in pairs:
         bad = np.flatnonzero(~np.isfinite(field.data))
@@ -107,7 +107,7 @@ def _first_nonfinite(step, pairs):
             if field.ncomp == 1:
                 return NonFiniteStateError(step, name, None, index)
             return NonFiniteStateError(step, name, index[0], index[1:])
-    return NonFiniteStateError(step, "time", None, None)
+    return None
 
 
 def cfl_limit(mesh, medium):
@@ -346,11 +346,22 @@ def poynting_report(s_prev, s_next, medium, region=WHOLE, kappa=1.0, psi_prev=No
     )
 
 
-def _check_finite(state, step):
-    """Raise NonFiniteStateError at the first non-finite entry of a reported state."""
-    if not state.is_finite():
-        raise _first_nonfinite(step, [(name, getattr(state, name))
-                                      for name in ("D", "B", "e", "h", "energy")])
+def _reported(step, s_prev, state, medium, **options):
+    """`poynting_report` from ``s_prev`` to ``state``, the row of step ``step``.
+
+    Every entry of D, B, e, h and the energy feeds some column, so a
+    non-finite state gets its row rejected; that raises NonFiniteStateError
+    at its first non-finite entry.  A finite state whose diagnostics
+    overflow raises the report's ValueError.
+    """
+    try:
+        return poynting_report(s_prev, state, medium, **options)
+    except ValueError as exc:
+        error = _first_nonfinite(step, [(name, getattr(state, name))
+                                        for name in ("D", "B", "e", "h", "energy")])
+        if error is None:
+            raise
+        raise error from exc
 
 
 def run_scenario(initial, medium, cfg, sinks=()):
@@ -362,7 +373,7 @@ def run_scenario(initial, medium, cfg, sinks=()):
     report takes the previous row's ``psi_total`` as its ``psi_prev``, so
     only the previous row's time is kept, not its state.
     A reported state with a non-finite entry, the initial one included,
-    raises `NonFiniteStateError`.
+    raises `NonFiniteStateError` (see `_reported`).
 
     Each step's last curl d(e) feeds the next step's first half-step, so a
     step runs `exterior_derivative` twice.  Each report is measured in the
@@ -378,25 +389,23 @@ def run_scenario(initial, medium, cfg, sinks=()):
     share planes 3-6.  After that, a step allocates only the thirteen
     arrays of the fresh state it hands the sinks, and a report none.
     """
-    _check_finite(initial, 0)
     work = np.empty((12, *initial.mesh.dims))
     residuals = PhaseResiduals.empty(initial.mesh, cfg.orientation, out=work[3:])
     state = initial
-    reports = [poynting_report(initial, initial, medium, kappa=cfg.kappa,
-                               orientation=cfg.orientation, out=residuals)]
+    reports = [_reported(0, initial, initial, medium, kappa=cfg.kappa,
+                         orientation=cfg.orientation, out=residuals)]
     for sink in sinks:
         sink(initial, 0)
     curl_e = None
     for k in range(1, cfg.steps + 1):
         state, curl_e = _leapfrog(state, medium, cfg, curl_e, out=work[:7])
         if k % cfg.cadence == 0 or k == cfg.steps:
-            _check_finite(state, k)
             # a whole-domain report handed psi_prev reads s_prev's time alone,
             # so s_prev is this state at the last row's time
-            reports.append(poynting_report(replace(state, time=reports[-1].time), state,
-                                           medium, kappa=cfg.kappa,
-                                           psi_prev=reports[-1].psi_total,
-                                           orientation=cfg.orientation, out=residuals))
+            reports.append(_reported(k, replace(state, time=reports[-1].time), state,
+                                     medium, kappa=cfg.kappa,
+                                     psi_prev=reports[-1].psi_total,
+                                     orientation=cfg.orientation, out=residuals))
             for sink in sinks:
                 sink(state, k)
     return state, reports

@@ -214,12 +214,6 @@ class MaxwellState:
         return cls(D=D, B=B, e=e, h=h,
                    energy=energy_density(D, B, medium), time=time)
 
-    def is_finite(self):
-        return all(
-            np.all(np.isfinite(f.data))
-            for f in (self.D, self.B, self.e, self.h, self.energy)
-        ) and np.isfinite(self.time)
-
     def field_scale(self):
         """Max absolute value over all D, B, e, h components."""
         return max(

@@ -268,6 +268,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(vol, Region(lo=(0, 0, 0), hi=(9, 4, 4)))
 
+    @pytest.mark.parametrize("bounds,named", [
+        (dict(hi=(2, 2, 2)), "lo"), (dict(lo=(0, 0, 0)), "hi"),
+        (dict(lo=(0, 0), hi=(1, 1)), "lo"), (dict(lo=(0, 0, 0), hi=(2, 2, 2.5)), "hi"),
+        (dict(lo=(0, 0, 0), hi=(1, 1, 1, 1)), "hi"), (dict(lo=0, hi=(1, 1, 1)), "lo"),
+    ])
+    def test_malformed_box_is_rejected(self, bounds, named):
+        # a box needs both bounds, each 3 integers; no lo once meant the whole domain
+        with pytest.raises(ValueError, match=f"region box {named} must be 3 integers"):
+            Region(**bounds)
+
     def test_stokes_on_periodic_domain(self, mesh):
         rng = np.random.default_rng(5)
         alpha = FormField(mesh, 2, rng.standard_normal((3, *mesh.dims)))
@@ -314,6 +324,43 @@ class TestPoyntingDivergence:
         e = constant_1form(mesh, [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             poynting_divergence(e, e)
+
+    @pytest.mark.parametrize("dims", [*WRAPPING_MESHES, (4, 6, 5), SLABBED_MESH])
+    def test_matches_rolled_flux_bitwise(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        m = Mesh(dims, spacing=0.7)
+        signed_zeros = [np.where(rng.random((3, *dims)) < 0.5, -0.0, 0.0) for _ in range(2)]
+        for e_data, h_data in [rng.standard_normal((2, 3, *dims)), signed_zeros]:
+            div = poynting_divergence(FormField(m, 1, e_data), FormField(m, 1, h_data, dual=True))
+            assert div.data.tobytes() == rolled_divergence(e_data, h_data, 0.7).tobytes()
+
+
+# the flux form of poynting_divergence written out with np.roll, grouped as
+# the implementation rounds it: F = C1 F1 + C3 F3 over C1 / 2 per face
+C1, C3 = 9.0 / 8.0, -1.0 / 24.0
+
+
+def rolled_flux(e, h, ax):
+    """e_i (h_{i+1/2} + h_{i-1/2}) + (C3 / C1) e_i (h_{i+3/2} + h_{i-3/2})
+    + (2 C3 / C1) (e_{i-1} h_{i+1/2} + e_{i+1} h_{i-1/2}), where h[i] is h_{i+1/2}."""
+    def at(x, s):
+        return np.roll(x, -s, ax)
+    f1 = (h + at(h, -1) + (at(h, 1) + at(h, -2)) * (C3 / C1)) * e
+    f3 = (at(e, -1) * h + at(e, 1) * at(h, -1)) * (2.0 * C3 / C1)
+    return f1 + f3
+
+
+def rolled_divergence(e, h, spacing):
+    """Net flux out of each cell: per axis c, the face flux e_a h_b - e_b h_a
+    summed over its shared transverse axis, then differenced along c."""
+    div = None
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        f_ab, f_ba = rolled_flux(e[a], h[b], c), rolled_flux(e[b], h[a], c)
+        net = (f_ab + np.roll(f_ab, -1, b)) - (f_ba + np.roll(f_ba, -1, a))
+        step = np.roll(net, -1, c) - net
+        div = step if div is None else div + step
+    return div * (0.25 * C1 / spacing)
 
 
 class TestInnerProduct:

@@ -28,6 +28,7 @@ from cmx.fiber import (
     energy_density,
     functional,
     induction_from_intensity,
+    intensity_from_induction,
 )
 from cmx.scenarios import gaussian_pulse_state, plane_wave_state
 
@@ -491,6 +492,56 @@ class TestNonFiniteState:
         error = info.value
         assert (error.step, error.field, error.component, error.cell) == (
             0, "energy", None, (4, 0, 3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("name", STATE_FIELDS)
+    def test_names_a_planted_entry(self, monkeypatch, name, orientation, step, value):
+        # the entry is planted in the state reported at ``step``, along with
+        # a later one in C order; the error names the earlier
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.sech_slab(mesh, 2.0, 1.0, 1.0)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, orientation=orientation,
+                                    steps=2, cadence=1)
+        initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        first, later = ((4, 0, 3), (5, 1, 0)) if name == "energy" else (
+            (1, 6, 2, 3), (2, 0, 0, 0))
+
+        def plant(state):
+            for cell in (later, first):
+                getattr(state, name).data[cell] = value
+            return state
+
+        if step == 0:
+            initial = plant(initial)
+        else:
+            leapfrog = dynamics._leapfrog
+
+            def planted_leapfrog(*args, **kwargs):
+                new, curl = leapfrog(*args, **kwargs)
+                return plant(new), curl
+
+            monkeypatch.setattr(dynamics, "_leapfrog", planted_leapfrog)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as info:
+            run_scenario(initial, medium, cfg)
+        error = info.value
+        expected = (name, None, first) if name == "energy" else (name, first[0], first[1:])
+        assert (error.step, error.field, error.component, error.cell) == (step, *expected)
+
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    def test_finite_state_with_overflowing_diagnostics(self, orientation):
+        # every entry is finite, but the energy density of 1e200 overflows:
+        # the report's own ValueError stands
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.vacuum(mesh)
+        D, B = FormField.zeros(mesh, 2, dual=True), FormField.zeros(mesh, 2)
+        D.data[0, 2, 3, 1] = 1e200
+        e, h = intensity_from_induction(D, B, medium)
+        state = MaxwellState(D=D, B=B, e=e, h=h, energy=FormField.zeros(mesh, 0, dual=True))
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, orientation=orientation)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            run_scenario(state, medium, cfg)
 
     def test_potential_run_names_the_bad_entry(self, mesh, vacuum):
         cfg = SchemeConfig.from_cfl(mesh, vacuum, cfl=0.5, steps=3)

@@ -106,7 +106,7 @@ class TestSnapshots:
 
 CONFIG_KEYS = ("grid.dims", "grid.spacing", "medium.preset", "initial.preset",
                "scheme.orientation", "scheme.cfl", "scheme.steps", "scheme.cadence",
-               "scheme.kappa", "outputs.directory", "outputs.snapshot_stride", "run.seed")
+               "scheme.kappa", "outputs.directory", "outputs.snapshot_stride")
 CONFIG_WORDS = ("vacuum", "uniform", "sech_slab", "zero", "plane_wave", "gaussian_pulse",
                 "DB", "EH", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
                 "0", "-0", "1", "2", "3", "0.5", "-1", "1_0", "0x10", "9" * 400,
@@ -150,9 +150,10 @@ class TestConfig:
             parse_config("grid.dims = 8 8 8\ngrid.spacing = fast\n")
         assert err.value.errors[0][0] == 2
 
-    def test_unknown_key_is_an_error(self):
+    @pytest.mark.parametrize("line", ["grid.shape = cube", "run.seed = 0"])
+    def test_unknown_key_is_an_error(self, line):
         with pytest.raises(ConfigError) as err:
-            parse_config("grid.dims = 8 8 8\ngrid.shape = cube\n")
+            parse_config(f"grid.dims = 8 8 8\n{line}\n")
         (lineno, msg), = err.value.errors
         assert lineno == 2 and "unknown key" in msg
 
@@ -162,8 +163,7 @@ class TestConfig:
                 "initial.preset = plane_wave 1 8.0 2 0.5\n"
                 "scheme.orientation = EH\nscheme.cfl = 0.25\n"
                 "scheme.steps = 7\nscheme.cadence = 7\nscheme.kappa = 2.0\n"
-                "outputs.directory = results\noutputs.snapshot_stride = 7\n"
-                "run.seed = 42\n")
+                "outputs.directory = results\noutputs.snapshot_stride = 7\n")
         cfg = parse_config(text)
         echo = cfg.to_text()
         assert parse_config(echo) == cfg
@@ -179,7 +179,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", [
         "scheme.steps = 1 2", "scheme.cadence = 20 40", "outputs.snapshot_stride = 2 x",
-        "run.seed = 1 2 3",
     ])
     def test_integer_keys_take_exactly_one_token(self, text):
         key = text.split(" = ")[0]
