@@ -300,10 +300,11 @@ def _periodic(op, a, sa, b, sb, axis, out):
 # planes along the first axis, small enough that a slab's scratch arrays
 # stay in a core's cache (and are reused by the allocator rather than
 # faulted in afresh); a field that fits one slab is worked whole.  Against
-# whole-field passes a 64^3 leapfrog steps ~35% more cells per second and
-# a 48^3 one as many, while framing one-slab fields like slabs made 16^3
-# report intervals ~24% longer (2-vCPU x86, 4 MiB L2, ten alternating runs
-# each).  A slab that is not the whole axis reads _HALO planes beyond
+# whole-field passes, `run_scenario` on the benchmark's configs (outputs
+# byte-identical) runs the 64^3 slab pulse ~10% faster (16 of 20
+# alternating in-process reps) and the 48^3 archive run ~9% faster (19 of
+# 20), but the 32^3 EH run, two slabs, ~5% slower (29 of 40); 2-vCPU x86,
+# 4 MiB L2.  A slab that is not the whole axis reads _HALO planes beyond
 # either side of it for the shifts along that axis.
 _SLAB_BYTES = 1 << 17
 _HALO = 2

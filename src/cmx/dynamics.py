@@ -355,7 +355,8 @@ def _reported(step, s_prev, state, medium, **options):
     overflow raises the report's ValueError.
     """
     try:
-        return poynting_report(s_prev, state, medium, **options)
+        with np.errstate(over="ignore", invalid="ignore"):  # the errors say it, not numpy
+            return poynting_report(s_prev, state, medium, **options)
     except ValueError as exc:
         error = _first_nonfinite(step, [(name, getattr(state, name))
                                         for name in ("D", "B", "e", "h", "energy")])
@@ -423,7 +424,6 @@ class PotentialTrajectory:
 
     e: list
     B_half: list
-    A: list
 
     def B_sync(self, n):
         return 0.5 * (self.B_half[n - 1] + self.B_half[n])
@@ -459,16 +459,14 @@ def evolve_potential(A0, Adot0, medium, cfg):
     A_curr = A0
     e_list = [-1.0 * Adot0]
     B_list = [exterior_derivative(A_curr)]
-    A_list = [A_curr]
     for k in range(1, cfg.steps + 1):
         A_next = 2.0 * A_curr - A_prev - (dt * dt) * curl_curl(A_curr)
         if not np.isfinite(A_next.data).all():
             raise _first_nonfinite(k, [("A", A_next)])
         e_list.append((-1.0 / dt) * (A_next - A_curr))
         B_list.append(exterior_derivative(A_next))
-        A_list.append(A_next)
         A_prev, A_curr = A_curr, A_next
-    return PotentialTrajectory(e=e_list, B_half=B_list, A=A_list)
+    return PotentialTrajectory(e=e_list, B_half=B_list)
 
 
 def solve_vector_potential(B):

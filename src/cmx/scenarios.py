@@ -7,9 +7,15 @@ induction) amplitudes, and sampling its forward eigenvector onto the
 staggered grid gives a wave that purely translates.  Conservation
 diagnostics on such a wave sit at rounding level instead of being
 polluted by the beat between forward and backward branches.
+
+Each preset is one row of `MEDIUM_PRESETS` or `INITIAL_PRESETS`, which
+`cmx.config` parses and echoes and `*_from_preset` build from.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,18 +28,6 @@ __all__ = [
     "gaussian_pulse_state",
     "initial_from_preset",
 ]
-
-
-def medium_from_preset(mesh, preset):
-    """Build a MediumProfile from a ('name', params...) tuple."""
-    name = preset[0]
-    if name == "vacuum":
-        return MediumProfile.vacuum(mesh)
-    if name == "uniform":
-        return MediumProfile.uniform(mesh, *preset[1:])
-    if name == "sech_slab":
-        return MediumProfile.sech_slab(mesh, *preset[1:])
-    raise ValueError(f"unknown medium preset {name!r}")
 
 
 def _along(mesh, axis, offset):
@@ -81,7 +75,9 @@ def _eigenmode_amplitudes(dt, eps, mu, k, spacing, sigma):
 def _slaved_to(e, B, medium, time):
     """The state of intensity e and induction B, with D, h and the energy slaved to them."""
     D, h = medium.induction(e), medium.intensity(B)
-    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy_density(D, B, medium), time=time)
+    with np.errstate(over="ignore"):  # an infinite energy fails the run's first report
+        energy = energy_density(D, B, medium)
+    return MaxwellState(D=D, B=B, e=e, h=h, energy=energy, time=time)
 
 
 def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude=1.0,
@@ -133,22 +129,50 @@ def gaussian_pulse_state(mesh, medium, center, width, amplitude=1.0, time=0.0):
     return _slaved_to(e, B, medium, time)
 
 
+@dataclass(frozen=True)
+class Preset:
+    """A preset: ``params`` maps each parameter, in token order, to int or
+    float (finite); ``holds`` says whether parsed values obey ``rule``;
+    ``build`` takes ``(mesh, *values)`` for a medium and
+    ``(mesh, medium, dt, *values)`` for an initial state."""
+
+    params: dict
+    build: Callable
+    holds: Callable = lambda *values: True
+    rule: str = ""
+
+
+# medium.preset: name -> row
+MEDIUM_PRESETS = {
+    "vacuum": Preset({}, MediumProfile.vacuum),
+    "uniform": Preset({"eps": float, "mu": float}, MediumProfile.uniform,
+                      lambda *values: min(values) > 0, "parameters must be positive"),
+    "sech_slab": Preset({"eps0": float, "z30": float, "mu0": float}, MediumProfile.sech_slab,
+                        lambda *values: min(values) > 0, "parameters must be positive"),
+}
+
+# initial.preset: name -> row; axes are 1-based in a config
+INITIAL_PRESETS = {
+    "zero": Preset({}, lambda mesh, medium, dt: MaxwellState.zero(mesh)),
+    "plane_wave": Preset(
+        {"axis": int, "wavelength": float, "polarization": int, "amplitude": float},
+        lambda mesh, medium, dt, axis, wavelength, polarization, amplitude: plane_wave_state(
+            mesh, medium, dt, axis - 1, wavelength, polarization - 1, amplitude),
+        lambda axis, wavelength, polarization, amplitude: (
+            {axis, polarization} <= {1, 2, 3} and axis != polarization and wavelength > 0),
+        "axis and polarization must be distinct values in 1..3, wavelength positive"),
+    "gaussian_pulse": Preset(
+        {"center": float, "width": float, "amplitude": float},
+        lambda mesh, medium, dt, *values: gaussian_pulse_state(mesh, medium, *values),
+        lambda center, width, amplitude: width > 0, "width must be positive"),
+}
+
+
+def medium_from_preset(mesh, preset):
+    """Build a MediumProfile from a ('name', params...) tuple."""
+    return MEDIUM_PRESETS[preset[0]].build(mesh, *preset[1:])
+
+
 def initial_from_preset(mesh, medium, dt, preset):
     """Build the initial state from a ('name', params...) tuple."""
-    name = preset[0]
-    if name == "zero":
-        return MaxwellState.zero(mesh)
-    if name == "plane_wave":
-        axis, wavelength, polarization, amplitude = preset[1:]
-        return plane_wave_state(
-            mesh, medium, dt,
-            axis=int(axis) - 1, wavelength=float(wavelength),
-            polarization=int(polarization) - 1, amplitude=float(amplitude),
-        )
-    if name == "gaussian_pulse":
-        center, width, amplitude = preset[1:]
-        return gaussian_pulse_state(
-            mesh, medium, center=float(center), width=float(width),
-            amplitude=float(amplitude),
-        )
-    raise ValueError(f"unknown initial-condition preset {name!r}")
+    return INITIAL_PRESETS[preset[0]].build(mesh, medium, dt, *preset[1:])

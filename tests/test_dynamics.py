@@ -1,6 +1,7 @@
 """Leapfrog stepping, diagnostics, and the potential-form oracle."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +529,35 @@ class TestNonFiniteState:
         error = info.value
         expected = (name, None, first) if name == "energy" else (name, first[0], first[1:])
         assert (error.step, error.field, error.component, error.cell) == (step, *expected)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
+    @pytest.mark.parametrize("name", ["D", "e"])
+    def test_a_planted_entry_raises_only_the_typed_error(self, name, orientation, value):
+        # the report that meets the bad entry emits no numpy warning on the way
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.sech_slab(mesh, 2.0, 1.0, 1.0)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, orientation=orientation,
+                                    steps=2, cadence=1)
+        initial = gaussian_pulse_state(mesh, medium, center=3.0, width=1.0)
+        getattr(initial, name).data[1, 6, 2, 3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError) as info:
+                run_scenario(initial, medium, cfg)
+        assert (info.value.step, info.value.field) == (0, name)
+
+    def test_an_overflowing_initial_energy_raises_only_the_typed_error(self):
+        mesh = Mesh((8, 6, 4))
+        medium = MediumProfile.vacuum(mesh)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=0.5, steps=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            initial = plane_wave_state(mesh, medium, cfg.dt, axis=0, wavelength=8.0,
+                                       polarization=1, amplitude=1e160)
+            with pytest.raises(NonFiniteStateError) as info:
+                run_scenario(initial, medium, cfg)
+        assert (info.value.step, info.value.field) == (0, "energy")
 
     @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
     def test_finite_state_with_overflowing_diagnostics(self, orientation):

@@ -156,6 +156,13 @@ class TestMalformedMedia:
         with pytest.raises(ValueError, match=match):
             MediumProfile(Mesh(MEDIUM_DIMS), eps, 1.0)
 
+    def test_a_vanishing_slab_raises_only_its_value_error(self):
+        # cosh overflows far from a thin slab's midplane, where eps becomes 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly positive"):
+                MediumProfile.sech_slab(Mesh((8, 8, 8)), 1.0, 0.001, 1.0)
+
 
 def compact_and_full(mesh, kind, rng):
     """One medium given compactly and as full arrays, as (eps, mu) pairs."""

@@ -15,6 +15,7 @@ from cmx.config import ConfigError, parse_config
 from cmx.dec import FormField, Mesh
 from cmx.dynamics import DiagnosticsReport
 from cmx.fiber import MaxwellState, MediumProfile, Orientation
+from cmx.scenarios import INITIAL_PRESETS, MEDIUM_PRESETS
 from cmx.snapshots import SnapshotFormatError, read_snapshot, write_snapshot
 from cmx.timeseries import HEADER, read_timeseries, write_timeseries
 
@@ -201,6 +202,38 @@ class TestConfig:
         (lineno, msg), = err.value.errors
         assert lineno == 1 and named in msg and "expects an integer" in msg
         assert "invalid literal" not in msg
+
+    @pytest.mark.parametrize("text,named", [
+        ("grid.spacing = fast", "grid.spacing"), ("scheme.cfl = big", "scheme.cfl"),
+        ("scheme.kappa = 1,5", "scheme.kappa"),
+        ("medium.preset = uniform 2.0 x", "uniform mu"),
+        ("medium.preset = sech_slab 1.0 wide 1.0", "sech_slab z30"),
+        ("initial.preset = plane_wave 1 x 2 1.0", "plane_wave wavelength"),
+        ("initial.preset = plane_wave 1 16.0 2 loud", "plane_wave amplitude"),
+        ("initial.preset = gaussian_pulse 4.0 1.5 y", "gaussian_pulse amplitude"),
+    ])
+    def test_non_numeric_tokens_name_the_key(self, text, named):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        (lineno, msg), = err.value.errors
+        assert lineno == 1 and named in msg and "expects a number" in msg
+        assert "could not convert" not in msg
+
+    @pytest.mark.parametrize("key, table", [("medium.preset", MEDIUM_PRESETS),
+                                            ("initial.preset", INITIAL_PRESETS)])
+    def test_unknown_preset_lists_the_presets(self, key, table):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = foam 1.0\n")
+        (lineno, msg), = err.value.errors
+        assert lineno == 1 and "'foam'" in msg
+        assert all(name in msg for name in table)
+
+    def test_readme_config_block_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        documented = {line.split("=")[0].strip() for line in block.splitlines()}
+        echoed = {line.split(" = ")[0] for line in parse_config(block).to_text().splitlines()}
+        assert echoed <= documented
 
     @given(st.lists(config_line, max_size=8))
     @settings(max_examples=300, deadline=None)

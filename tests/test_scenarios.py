@@ -1,12 +1,16 @@
-"""Initial-state presets against their formulas written out on full meshgrids."""
+"""Presets: every table row end to end, and the initial states against their
+formulas written out on full meshgrids."""
 
 import numpy as np
 import pytest
 
+from cmx.config import ConfigError, parse_config
 from cmx.dec import FormField, Mesh
 from cmx.dynamics import SchemeConfig
 from cmx.fiber import MaxwellState, MediumProfile, energy_density
 from cmx.scenarios import (
+    INITIAL_PRESETS,
+    MEDIUM_PRESETS,
     _axis_triplet,
     _eigenmode_amplitudes,
     gaussian_pulse_state,
@@ -14,6 +18,41 @@ from cmx.scenarios import (
 )
 
 MESH = Mesh((12, 8, 10), spacing=0.5)
+
+# valid parameter tokens of every preset row, for a (6, 4, 8) mesh of unit spacing
+EXAMPLES = {
+    "vacuum": "", "uniform": "2.0 3.0", "sech_slab": "2.0 2.0 1.5",
+    "zero": "", "plane_wave": "1 6.0 2 0.5", "gaussian_pulse": "3.0 1.5 -2.0",
+}
+PRESET_ROWS = [("medium.preset", name) for name in MEDIUM_PRESETS] + [
+    ("initial.preset", name) for name in INITIAL_PRESETS]
+
+
+@pytest.mark.parametrize("key, name", PRESET_ROWS)
+def test_preset_row_parses_echoes_and_builds(key, name):
+    text = f"grid.dims = 6 4 8\n{key} = {name} {EXAMPLES[name]}\n"
+    cfg = parse_config(text)
+    echo = cfg.to_text()
+    assert parse_config(echo) == cfg and parse_config(echo).to_text() == echo
+    assert f"{key} = {name} {EXAMPLES[name]}".strip() in echo
+    mesh = cfg.build_mesh()
+    medium = cfg.build_medium(mesh)
+    state = cfg.build_initial(mesh, medium, cfg.build_scheme(mesh, medium))
+    assert state.mesh == mesh
+    for field in ("D", "B", "e", "h", "energy"):
+        assert np.isfinite(getattr(state, field).data).all()
+
+
+@pytest.mark.parametrize("key, name", PRESET_ROWS)
+def test_preset_row_rejects_a_wrong_parameter_count(key, name):
+    tokens = EXAMPLES[name].split()
+    for wrong in (tokens + ["1.0"], tokens[:-1]):
+        if wrong == tokens:  # a row without parameters has no shorter form
+            continue
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {' '.join([name, *wrong])}\n")
+        (lineno, msg), = err.value.errors
+        assert lineno == 1 and msg.startswith(f"{name} expects")
 
 
 def state_from_samples(mesh, medium, e, B):
