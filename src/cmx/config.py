@@ -9,7 +9,10 @@ back to an equal configuration.
 Each key is one row of ``_KEYS``: the field it sets and the parser of its
 tokens.  A preset key reads its preset's parameters and rule from the
 tables of `cmx.scenarios`.  One token parser names the key, or the preset
-and parameter, in every message about a token.
+and parameter, in every message about a token.  Once every key has
+parsed, each preset's ``fits`` rule checks it against the mesh, so a
+plane-wave wavelength or a medium that the grid cannot hold fails on its
+preset's line.
 """
 
 from __future__ import annotations
@@ -152,6 +155,7 @@ _KEYS = {
 def parse_config(text):
     """Parse configuration text into a ScenarioConfig or raise ConfigError."""
     fields = {}
+    lines = {}
     errors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,10 +173,24 @@ def parse_config(text):
             errors.append((lineno, f"unknown key {key!r}"))
         else:
             field, parse = _KEYS[key]
+            lines[key] = lineno
             try:
                 fields[field] = parse(key, parts)
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(**fields)
+    config = ScenarioConfig(**fields)
+    try:
+        mesh = config.build_mesh()
+    except ValueError as exc:  # the default mesh is valid, so grid.dims was given
+        raise ConfigError([(lines["grid.dims"], str(exc))]) from None
+    for key, table in (("medium.preset", MEDIUM_PRESETS), ("initial.preset", INITIAL_PRESETS)):
+        name, *values = getattr(config, _KEYS[key][0])
+        try:  # a default preset fits every mesh, so a failing one has its line
+            table[name].fits(mesh, *values)
+        except ValueError as exc:
+            errors.append((lines[key], f"{name}: {exc}"))
+    if errors:
+        raise ConfigError(errors)
+    return config

@@ -29,6 +29,7 @@ same update algebra for static linear media and agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -180,7 +181,7 @@ class DiagnosticsReport:
     def __post_init__(self):
         for name in self.FIELDS:
             value = float(getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"diagnostics field {name} is non-finite")
             object.__setattr__(self, name, value)
 

@@ -14,13 +14,14 @@ Each preset is one row of `MEDIUM_PRESETS` or `INITIAL_PRESETS`, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dec import FormField, difference_symbol
-from .fiber import MaxwellState, MediumProfile, energy_density
+from .fiber import _MEAN_SAFE, MaxwellState, MediumProfile, energy_density
 
 __all__ = [
     "medium_from_preset",
@@ -80,6 +81,16 @@ def _slaved_to(e, B, medium, time):
     return MaxwellState(D=D, B=B, e=e, h=h, energy=energy, time=time)
 
 
+def _divides_extent(mesh, axis, wavelength):
+    """Raise ValueError unless ``wavelength`` divides the periodic extent along ``axis``."""
+    extent = mesh.extent[axis]
+    mode = extent / wavelength
+    if not math.isfinite(mode) or abs(mode - round(mode)) > 1e-9 or round(mode) == 0:
+        raise ValueError(
+            f"wavelength {wavelength} does not divide the periodic extent {extent}"
+        )
+
+
 def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude=1.0,
                      time=0.0):
     """On-shell traveling plane wave sampled as a discrete eigenmode.
@@ -91,12 +102,7 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
     3-D broadcast view would sum in another order), so in a uniform medium
     the wave is the exact eigenmode of the stepper run with this ``dt``.
     """
-    extent = mesh.extent[axis]
-    mode = extent / wavelength
-    if abs(mode - round(mode)) > 1e-9 or round(mode) == 0:
-        raise ValueError(
-            f"wavelength {wavelength} does not divide the periodic extent {extent}"
-        )
+    _divides_extent(mesh, axis, wavelength)
     third, sigma = _axis_triplet(axis, polarization)
     k = 2.0 * np.pi / wavelength
     eps = float(medium.eps.reshape(-1).mean())
@@ -134,21 +140,26 @@ class Preset:
     """A preset: ``params`` maps each parameter, in token order, to int or
     float (finite); ``holds`` says whether parsed values obey ``rule``;
     ``build`` takes ``(mesh, *values)`` for a medium and
-    ``(mesh, medium, dt, *values)`` for an initial state."""
+    ``(mesh, medium, dt, *values)`` for an initial state.  ``fits(mesh,
+    *values)`` raises ValueError when the values do not suit the mesh
+    (``sech_slab``'s builds the medium and drops it)."""
 
     params: dict
     build: Callable
     holds: Callable = lambda *values: True
     rule: str = ""
+    fits: Callable = lambda mesh, *values: None
 
 
 # medium.preset: name -> row
 MEDIUM_PRESETS = {
     "vacuum": Preset({}, MediumProfile.vacuum),
     "uniform": Preset({"eps": float, "mu": float}, MediumProfile.uniform,
-                      lambda *values: min(values) > 0, "parameters must be positive"),
+                      lambda *values: 0 < min(values) and max(values) <= _MEAN_SAFE,
+                      f"parameters must be positive and at most {_MEAN_SAFE:.4g}"),
     "sech_slab": Preset({"eps0": float, "z30": float, "mu0": float}, MediumProfile.sech_slab,
-                        lambda *values: min(values) > 0, "parameters must be positive"),
+                        lambda *values: min(values) > 0, "parameters must be positive",
+                        MediumProfile.sech_slab),
 }
 
 # initial.preset: name -> row; axes are 1-based in a config
@@ -160,7 +171,8 @@ INITIAL_PRESETS = {
             mesh, medium, dt, axis - 1, wavelength, polarization - 1, amplitude),
         lambda axis, wavelength, polarization, amplitude: (
             {axis, polarization} <= {1, 2, 3} and axis != polarization and wavelength > 0),
-        "axis and polarization must be distinct values in 1..3, wavelength positive"),
+        "axis and polarization must be distinct values in 1..3, wavelength positive",
+        lambda mesh, axis, wavelength, *rest: _divides_extent(mesh, axis - 1, wavelength)),
     "gaussian_pulse": Preset(
         {"center": float, "width": float, "amplitude": float},
         lambda mesh, medium, dt, *values: gaussian_pulse_state(mesh, medium, *values),

@@ -706,3 +706,45 @@ class TestLayeredMedia:
         gap = max(np.abs((getattr(db, name) - getattr(eh, name)).data).max()
                   for name in STATE_FIELDS)
         assert gap / scale <= 1e-10
+
+
+class TestSteppedEigenmode:
+    """The plane-wave preset stepped 400 times against Re(e_hat lambda^n e^{ikx}),
+    lambda the forward eigenvalue of the one-step map of its Fourier mode."""
+
+    @staticmethod
+    def forward_eigenvalue(dt, eps, mu, k, spacing):
+        """The forward eigenvalue of the leapfrog's 2x2 map on the (e, b)
+        amplitudes of one mode: a half kick of b, a full one of e, a half of b.
+        The orientation sign of the curl cancels from the eigenvalues."""
+        ktilde = difference_symbol(k * spacing, spacing)
+        half = np.array([[1.0, 0.0], [-0.5 * dt * ktilde, 1.0]])
+        full = np.array([[1.0, -dt / (eps * mu) * ktilde], [0.0, 1.0]])
+        values = np.linalg.eigvals(half @ full @ half)
+        return values[np.argmin(values.imag)]  # e^{-i w dt}, w > 0: right-moving
+
+    @pytest.mark.parametrize("dims, orientation, eps, mu, cfl", [
+        ((32, 4, 4), Orientation.DB, 1.0, 1.0, 0.5),
+        ((4, 24, 6), Orientation.EH, 2.0, 3.0, 0.95),
+        ((6, 4, 40), Orientation.DB, 1.5, 1.0, 0.9),
+        ((16, 4, 4), Orientation.EH, 2.0, 3.0, 0.3),
+    ])
+    def test_e_follows_lambda_to_the_n(self, dims, orientation, eps, mu, cfl):
+        mesh = Mesh(dims)
+        medium = MediumProfile.uniform(mesh, eps, mu)
+        cfg = SchemeConfig.from_cfl(mesh, medium, cfl=cfl, orientation=orientation)
+        axis = int(np.argmax(dims))
+        polarization = (axis + 1) % 3
+        wavelength = mesh.extent[axis]
+        state = plane_wave_state(mesh, medium, cfg.dt, axis, wavelength, polarization)
+        stepper = step_induction if orientation is Orientation.DB else step_intensity
+        k = 2.0 * np.pi / wavelength
+        lam = self.forward_eigenvalue(cfg.dt, eps, mu, k, mesh.spacing)
+        assert abs(abs(lam) - 1.0) <= 4 * np.finfo(float).eps
+        x = mesh.coords(state.e.offsets()[polarization])[axis]
+        steps = 400
+        for _ in range(steps):
+            state = stepper(state, medium, cfg)
+        expected = np.zeros((3, *dims))  # e_hat is 1: the preset's unit intensity amplitude
+        expected[polarization] = np.real(lam ** steps * np.exp(1j * k * x))
+        assert np.abs(state.e.data - expected).max() <= 1e-12

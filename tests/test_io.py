@@ -1,6 +1,7 @@
 """Configuration parsing, snapshots, time series, and the command line."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,29 @@ class TestSnapshots:
             read_snapshot(path)
         except SnapshotFormatError:
             pass
+
+    def test_file_equals_an_independent_encoder(self, tmp_path):
+        """CMX1 written out by hand: the five header lines, then each component
+        of D, B, e, h and energy as row-major little-endian binary64."""
+        base = random_state(4)
+        dims = base.mesh.dims
+        wide = np.random.default_rng(5).standard_normal((3, dims[0], 2 * dims[1], dims[2]))
+        state = MaxwellState(
+            D=FormField(base.mesh, 2, wide[:, :, ::2], dual=True),  # a strided view
+            B=FormField(base.mesh, 2, base.B.data.astype(np.float32)),
+            e=FormField(base.mesh, 1, np.asfortranarray(base.e.data)),
+            h=FormField(base.mesh, 1, base.h.data.astype(">f8"), dual=True),
+            energy=base.energy, time=base.time)
+        header = (f"CMX1\ndims {dims[0]} {dims[1]} {dims[2]}\n"
+                  f"spacing {state.mesh.spacing!r}\ntime {state.time!r}\n"
+                  "fields D B e h energy\n").encode("ascii")
+        blocks = [np.asarray(comp, dtype="<f8").tobytes()
+                  for name in ("D", "B", "e", "h")
+                  for comp in getattr(state, name).data]
+        blocks.append(np.asarray(state.energy.data, dtype="<f8").tobytes())
+        path = tmp_path / "snap.cmx"
+        write_snapshot(state, path)
+        assert path.read_bytes() == header + b"".join(blocks)
 
 
 CONFIG_KEYS = ("grid.dims", "grid.spacing", "medium.preset", "initial.preset",
@@ -267,6 +291,52 @@ class TestTimeseries:
         path = tmp_path / "ts.csv"
         write_timeseries(rows, path)
         assert read_timeseries(path) == rows
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        extremes = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 1 / 3, -1 / 3, 2.2250738585072014e-308]
+        rows = [DiagnosticsReport(*np.roll(extremes, shift)) for shift in range(9)]
+        path = tmp_path / "ts.csv"
+        write_timeseries(rows, path)
+        bits = [[struct.pack("<d", getattr(row, name)) for name in DiagnosticsReport.FIELDS]
+                for row in rows]
+        assert [[struct.pack("<d", getattr(row, name)) for name in DiagnosticsReport.FIELDS]
+                for row in read_timeseries(path)] == bits
+
+    def corrupt_third_line(self, tmp_path, edit):
+        """A three-row CSV whose second row, on line 3, is ``edit`` of its tokens."""
+        path = tmp_path / "ts.csv"
+        write_timeseries([DiagnosticsReport(*([float(i)] * 9)) for i in range(3)], path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 4, 8])
+    def test_non_finite_tokens_are_rejected(self, tmp_path, token, column):
+        path = self.corrupt_third_line(
+            tmp_path, lambda tokens: tokens[:column] + [token] + tokens[column + 1:])
+        field = DiagnosticsReport.FIELDS[column]
+        with pytest.raises(ValueError) as err:
+            read_timeseries(path)
+        assert str(err.value) == f"{path}:3: diagnostics field {field} is non-finite"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda tokens: tokens[:-1] + ["abc"],
+         "column poynting_balance_residual: could not convert string to float: 'abc'"),
+        (lambda tokens: ["1.0.0"] + tokens[1:],
+         "column t: could not convert string to float: '1.0.0'"),
+        (lambda tokens: tokens[:-1], "row has 8 columns, expected 9"),
+        (lambda tokens: tokens + ["1.0"], "row has 10 columns, expected 9"),
+        (lambda tokens: tokens[:-1] + [""],
+         "column poynting_balance_residual: could not convert string to float: ''"),
+    ])
+    def test_a_bad_row_names_its_line_and_column(self, tmp_path, edit, message):
+        path = self.corrupt_third_line(tmp_path, edit)
+        with pytest.raises(ValueError) as err:
+            read_timeseries(path)
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 class TestCli:

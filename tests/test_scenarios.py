@@ -4,6 +4,7 @@ formulas written out on full meshgrids."""
 import numpy as np
 import pytest
 
+from cmx.cli import main
 from cmx.config import ConfigError, parse_config
 from cmx.dec import FormField, Mesh
 from cmx.dynamics import SchemeConfig
@@ -53,6 +54,47 @@ def test_preset_row_rejects_a_wrong_parameter_count(key, name):
             parse_config(f"{key} = {' '.join([name, *wrong])}\n")
         (lineno, msg), = err.value.errors
         assert lineno == 1 and msg.startswith(f"{name} expects")
+
+
+def test_uniform_rejects_a_constant_whose_staggered_mean_overflows():
+    with pytest.raises(ConfigError) as err:
+        parse_config("medium.preset = uniform 1e308 1.0\n")
+    (lineno, msg), = err.value.errors
+    assert lineno == 1 and msg == "uniform parameters must be positive and at most 8.988e+307"
+
+
+@pytest.mark.parametrize("spacing, preset, message", [
+    ("", "initial.preset = plane_wave 1 7.0 2 1.0",
+     "plane_wave: wavelength 7.0 does not divide the periodic extent 8.0"),
+    ("", "initial.preset = plane_wave 3 16.0 1 1.0",
+     "plane_wave: wavelength 16.0 does not divide the periodic extent 8.0"),
+    ("", "initial.preset = plane_wave 1 1e-320 2 1.0",  # extent / wavelength is inf
+     "plane_wave: wavelength 1e-320 does not divide the periodic extent 8.0"),
+    ("grid.spacing = 1e308", "initial.preset = plane_wave 1 8.0 2 1.0",  # the extent is inf
+     "plane_wave: wavelength 8.0 does not divide the periodic extent inf"),
+    ("", "medium.preset = sech_slab 1.0 0.001 1.0",
+     "sech_slab: permittivity and permeability must be strictly positive"),
+])
+def test_a_preset_that_does_not_fit_the_mesh_fails_on_its_line(spacing, preset, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"grid.dims = 8 8 8\n{spacing}\n{preset}\n")
+    (lineno, msg), = err.value.errors
+    assert lineno == 3 and msg.startswith(message)
+
+
+def test_a_preset_that_does_not_fit_the_mesh_fails_in_the_cli(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("grid.dims = 8 8 8\ninitial.preset = plane_wave 1 7.0 2 1.0\n")
+    assert main(["simulate", "--config", str(path), "--print-config"]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}:2: plane_wave: wavelength 7.0 does not divide the periodic extent 8.0\n")
+
+
+def test_a_mesh_that_cannot_be_built_fails_on_the_dims_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"scheme.steps = 1\ngrid.dims = {2 ** 40} {2 ** 40} {2 ** 40}\n")
+    (lineno, msg), = err.value.errors
+    assert lineno == 2 and "mesh dims" in msg
 
 
 def state_from_samples(mesh, medium, e, B):
