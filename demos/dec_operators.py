@@ -71,7 +71,7 @@ for n in (8, 16, 32, 64):
     k = 2 * np.pi
     a = sample_form(m, 1, [None, lambda x, y, z: np.sin(k * x), None])
     d = exterior_derivative(a)
-    x_face = m.coords(d.offsets()[2])[0]
+    x_face = m.coord_axes(d.offsets()[2])[0]
     err = np.abs(d.data[2] - k * np.cos(k * x_face)).max()
     order = "" if prev is None else f"{np.log2(prev / err):7.3f}"
     print(f"{n:5d} {err:12.3e} {order:>7}")

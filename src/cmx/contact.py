@@ -10,6 +10,7 @@ strictly convex generator, and integrates the resulting flows with RK4.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -58,7 +59,9 @@ class OffSubmanifoldError(ValueError):
 
 
 def _vec(x):
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:
+        return v.reshape(1)
     if v.ndim != 1:
         raise ValueError("coordinate arrays must be one-dimensional")
     return v
@@ -78,7 +81,7 @@ class ContactPoint:
         object.__setattr__(self, "z", float(self.z))
         if self.x.shape != self.p.shape:
             raise ValueError(f"x has length {self.x.size} but p has length {self.p.size}")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.p)) and np.isfinite(self.z)):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.p).all() and math.isfinite(self.z)):
             raise ValueError("contact point has non-finite entries")
 
     @property
@@ -245,7 +248,7 @@ def contact_hamiltonian_field(h, pt):
     gx, gp = _vec(gx), _vec(gp)
     val = float(h.value(pt.x, pt.p, pt.z))
     out = Tangent(-gp, gx + pt.p * gz, val - float(pt.p @ gp))
-    if not (np.all(np.isfinite(out.dx)) and np.all(np.isfinite(out.dp)) and np.isfinite(out.dz)):
+    if not (np.isfinite(out.dx).all() and np.isfinite(out.dp).all() and math.isfinite(out.dz)):
         raise ValueError("non-finite derivative values in contact Hamiltonian field")
     return out
 
@@ -348,7 +351,7 @@ def legendre_transform(gen, p, max_iter=100):
 
     try:
         x = np.linalg.solve(np.asarray(gen.hessian(np.zeros(n)), dtype=float), p)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         x = p.copy()  # curvature degenerates at the origin; start at the dual point
@@ -364,7 +367,7 @@ def legendre_transform(gen, p, max_iter=100):
         for _ in range(30):
             x_new = x - t * step
             r_new = _vec(gen.gradient(x_new)) - p
-            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < np.linalg.norm(r):
+            if np.isfinite(r_new).all() and np.linalg.norm(r_new) < np.linalg.norm(r):
                 break
             t *= 0.5
         else:
@@ -439,7 +442,7 @@ def integrate_flow(field, pt0, dt, steps):
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise FlowDivergedError(step)
         traj.append(_unpack(y, n))
     return traj

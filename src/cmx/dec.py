@@ -19,9 +19,11 @@ Fourier symbol.  Products of forms (`wedge`, `resample`) move values with
 two-point means; the energy flux that pairs exactly with the four-point
 difference is `poynting_divergence`, a whole-field oracle.  Every periodic
 shift, in the differences, the flux and the means alike, goes through one
-primitive, `_periodic`; only `exterior_derivative`, run every step, works
-big fields in slabs.  All factors of the grid spacing live in
-``exterior_derivative``, ``poynting_divergence`` and ``integrate``.
+primitive, `_periodic`.  Two kernels work big fields in slabs:
+`exterior_derivative` here, run every step, and `fiber._cell_means`, which
+forms the energy update and every density.  All factors of the grid
+spacing live in ``exterior_derivative``, ``poynting_divergence`` and
+``integrate``.
 
 2-form component ``a`` is the coefficient of sigma^b ^ sigma^c with
 (a, b, c) a cyclic permutation of (0, 1, 2).
@@ -29,6 +31,7 @@ big fields in slabs.  All factors of the grid spacing live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +52,22 @@ __all__ = [
 ]
 
 
+# the most cells a mesh may hold: numpy must be able to index a 1-form on it,
+# three float64 components per cell
+_MAX_CELLS = np.iinfo(np.intp).max // 24
+
+
 class Mesh:
     """Uniform periodic grid with cubic cells of side ``spacing``."""
 
     def __init__(self, dims, spacing=1.0):
         dims = tuple(int(n) for n in dims)
-        if len(dims) != 3 or any(n < 2 for n in dims) or np.prod(dims) < 8:
+        cells = math.prod(dims)  # exact: numpy's product wraps in int64
+        if len(dims) != 3 or any(n < 2 for n in dims) or cells < 8:
             raise ValueError(f"mesh dims must be 3 integers >= 2 with >= 8 cells, got {dims}")
+        if cells > _MAX_CELLS:
+            raise ValueError(f"mesh dims {dims} hold {cells} cells, more than the "
+                             f"{_MAX_CELLS} a field array can index")
         if not (np.isfinite(spacing) and spacing > 0):
             raise ValueError(f"spacing must be finite and positive, got {spacing}")
         self.dims = dims
@@ -74,12 +86,20 @@ class Mesh:
         """1D coordinates (i + offset) * spacing along one axis."""
         return (np.arange(self.dims[axis]) + offset) * self.spacing
 
-    def coords(self, offset):
-        """Meshgrid coordinates of every sample point at a staggered offset.
+    def coord_axes(self, offset):
+        """Coordinates along each axis at a staggered offset, shaped to broadcast.
 
         ``offset`` is a 3-tuple with entries in {0, 1/2} in units of the
-        spacing; returns three (N1, N2, N3) arrays.
+        spacing; returns three arrays of shapes (N1, 1, 1), (1, N2, 1) and
+        (1, 1, N3).  An elementwise function of them broadcasts to its
+        values at every sample point, and costs only its own arithmetic.
         """
+        return [self.axis_coords(a, offset[a]).reshape([-1 if b == a else 1 for b in range(3)])
+                for a in range(3)]
+
+    def coords(self, offset):
+        """Meshgrid coordinates of every sample point at a staggered offset:
+        three (N1, N2, N3) arrays, the `coord_axes` broadcast to the mesh."""
         axes = [self.axis_coords(a, offset[a]) for a in range(3)]
         return np.meshgrid(*axes, indexing="ij")
 
@@ -182,20 +202,23 @@ class FormField:
 def sample_form(mesh, degree, funcs, dual=False):
     """Build a form by evaluating callables f(X1, X2, X3) at its sample points.
 
-    ``funcs`` is a single callable (degrees 0, 3) or a sequence of three
-    (degrees 1, 2); a None entry leaves that component zero.
+    ``funcs`` is a single callable (degrees 0, 3) or a list or tuple of
+    exactly three (degrees 1, 2); a None entry leaves that component zero,
+    and anything else raises ValueError.  Each callable receives its
+    component's `Mesh.coord_axes`, shaped (N1, 1, 1), (1, N2, 1) and
+    (1, 1, N3), and must be elementwise: its result, of any shape that
+    broadcasts to the mesh (a scalar too), is broadcast into the component,
+    so it is sampled at the cost of its own arithmetic.
     """
     field = FormField.zeros(mesh, degree, dual)
-    offs = field.offsets()
-    fs = [funcs] if degree in (0, 3) else list(funcs)
-    for c, f in enumerate(fs):
-        if f is None:
-            continue
-        vals = np.asarray(f(*mesh.coords(offs[c])), dtype=float)
-        if degree in (0, 3):
-            field.data[...] = vals
-        else:
-            field.data[c] = vals
+    fs = [funcs] if field.ncomp == 1 else funcs
+    if not (isinstance(fs, (list, tuple)) and len(fs) == field.ncomp
+            and all(f is None or callable(f) for f in fs)):
+        wanted = "a callable" if field.ncomp == 1 else "a list or tuple of three callables"
+        raise ValueError(f"a degree-{degree} form samples {wanted} (or None), got {funcs!r}")
+    for c, (f, offset) in enumerate(zip(fs, field.offsets())):
+        if f is not None:
+            field.component(c)[...] = f(*mesh.coord_axes(offset))
     return field
 
 

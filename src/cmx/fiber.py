@@ -135,11 +135,11 @@ class MediumProfile:
     @classmethod
     def sech_slab(cls, mesh, eps0, z30, mu0):
         """Permittivity eps0 * sech^2(zeta3 / z30) around the domain midplane."""
-        z3 = mesh.axis_coords(2, _CELL[2])
+        z3 = mesh.coord_axes(_CELL)[2]
         centered = z3 - 0.5 * mesh.extent[2]
         with np.errstate(over="ignore"):  # eps 0 where cosh overflows, rejected below
             eps = eps0 / np.cosh(centered / z30) ** 2
-        return cls(mesh, eps.reshape(1, 1, -1), float(mu0))
+        return cls(mesh, eps, float(mu0))
 
     def intensity(self, induction, out=None):
         """The constitutive image of an induction: a dual 2-form D gives the

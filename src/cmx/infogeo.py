@@ -9,6 +9,7 @@ canonical divergence and a generalized Pythagorean identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,18 +30,29 @@ __all__ = [
 _CONSISTENCY_TOL = 1e-12
 
 
+def _check_medium(eps, mu):
+    if not (0 < eps < math.inf and 0 < mu < math.inf):  # NaN fails too
+        raise ValueError("medium constants must be positive and finite")
+
+
+def _diagonal(a, b):
+    """diag(a x3, b x3), filled by stride."""
+    g = np.zeros((6, 6))
+    g.flat[:21:7] = a
+    g.flat[21::7] = b
+    return g
+
+
 def fiber_metric(eps, mu):
     """Hessian of the energy density: diag(1/eps x3, 1/mu x3)."""
-    if eps <= 0 or mu <= 0:
-        raise ValueError("medium constants must be positive")
-    return np.diag([1.0 / eps] * 3 + [1.0 / mu] * 3)
+    _check_medium(eps, mu)
+    return _diagonal(1.0 / eps, 1.0 / mu)
 
 
 def contravariant_metric(eps, mu):
     """Hessian of the co-energy density: diag(eps x3, mu x3), the metric inverse."""
-    if eps <= 0 or mu <= 0:
-        raise ValueError("medium constants must be positive")
-    return np.diag([eps] * 3 + [mu] * 3)
+    _check_medium(eps, mu)
+    return _diagonal(eps, mu)
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,10 @@ class FiberPoint:
             raise ValueError("fiber coordinates must be length-6 vectors")
         expected = fiber_metric(self.eps, self.mu) @ x
         scale = 1.0 + float(np.abs(expected).max())
-        if float(np.abs(expected - p).max()) > _CONSISTENCY_TOL * scale:
+        # `not <=`, so that a NaN left by a non-finite coordinate fails too
+        if not float(np.abs(expected - p).max()) <= _CONSISTENCY_TOL * scale:
+            if not (np.isfinite(x).all() and np.isfinite(p).all()):
+                raise ValueError("fiber coordinates must be finite")
             raise ValueError("p is not the constitutive gradient of x")
 
     @classmethod

@@ -31,17 +31,6 @@ __all__ = [
 ]
 
 
-def _along(mesh, axis, offset):
-    """Sample coordinates along one axis, shaped to broadcast over the mesh.
-
-    The presets vary along a single axis, so they are evaluated once per
-    sample on that axis and broadcast when assigned into the field.
-    """
-    shape = [1, 1, 1]
-    shape[axis] = mesh.dims[axis]
-    return mesh.axis_coords(axis, offset[axis]).reshape(shape)
-
-
 def _axis_triplet(axis, polarization):
     if axis == polarization:
         raise ValueError("polarization axis must differ from the propagation axis")
@@ -110,11 +99,11 @@ def plane_wave_state(mesh, medium, dt, axis, wavelength, polarization, amplitude
     e_hat, b_hat = _eigenmode_amplitudes(dt, eps, mu, k, mesh.spacing, sigma)
 
     e = FormField.zeros(mesh, 1)
-    coords_e = _along(mesh, axis, e.offsets()[polarization])
+    coords_e = mesh.coord_axes(e.offsets()[polarization])[axis]
     e.data[polarization] = amplitude * np.real(e_hat * np.exp(1j * k * coords_e))
 
     B = FormField.zeros(mesh, 2)
-    coords_b = _along(mesh, axis, B.offsets()[third])
+    coords_b = mesh.coord_axes(B.offsets()[third])[axis]
     B.data[third] = amplitude * np.real(b_hat * np.exp(1j * k * coords_b))
 
     return _slaved_to(e, B, medium, time)
@@ -125,11 +114,11 @@ def gaussian_pulse_state(mesh, medium, center, width, amplitude=1.0, time=0.0):
     if width <= 0:
         raise ValueError("pulse width must be positive")
     e = FormField.zeros(mesh, 1)
-    x_e = _along(mesh, 0, e.offsets()[1])
+    x_e = mesh.coord_axes(e.offsets()[1])[0]
     e.data[1] = amplitude * np.exp(-0.5 * ((x_e - center) / width) ** 2)
 
     B = FormField.zeros(mesh, 2)
-    x_b = _along(mesh, 0, B.offsets()[2])
+    x_b = mesh.coord_axes(B.offsets()[2])[0]
     B.data[2] = amplitude * np.exp(-0.5 * ((x_b - center) / width) ** 2)
 
     return _slaved_to(e, B, medium, time)

@@ -319,7 +319,7 @@ def suite_dec(seed=0):
         alpha = sample_form(m, 1, [f1, f2, None])
         dalpha = exterior_derivative(alpha)
         # analytic curl component 2: d(alpha_1)/d0 - d(alpha_0)/d1
-        X, Y, Z = m.coords(dalpha.offsets()[2])
+        X, Y, Z = m.coord_axes(dalpha.offsets()[2])
         truth = np.zeros(m.dims)
         truth += 0.0  # alpha_1 has no x dependence
         truth -= -kx * np.sin(kx * X) * np.sin(kx * Y)
@@ -327,12 +327,12 @@ def suite_dec(seed=0):
 
         beta = sample_form(m, 1, [None, f2, f1])
         prod = wedge(alpha, beta)
-        Xp, Yp, Zp = m.coords(prod.offsets()[2])
+        Xp, Yp, Zp = m.coord_axes(prod.offsets()[2])
         truth_w = f1(Xp, Yp, Zp) * f2(Xp, Yp, Zp)
         e_w = float(np.abs(prod.data[2] - truth_w).max())
 
         ip = inner_product_1forms(alpha, beta)
-        Xn, Yn, Zn = m.coords((0.0, 0.0, 0.0))
+        Xn, Yn, Zn = m.coord_axes((0.0, 0.0, 0.0))
         truth_ip = f2(Xn, Yn, Zn) ** 2  # only the middle components pair up
         e_ip = float(np.abs(ip.data - truth_ip).max())
 

@@ -1,6 +1,7 @@
 """Staggered-grid exterior calculus: d, star, wedge, integration."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,66 @@ class TestMesh:
         m = Mesh((4, 4, 4), spacing=0.5)
         x, _, _ = m.coords((0.5, 0.0, 0.0))
         assert x[0, 0, 0] == 0.25 and x[1, 0, 0] == 0.75
+
+    @pytest.mark.parametrize("dims", [
+        (2**21, 2**21, 2**21 + 1),  # the int64 product reads -9.2e18
+        (2**32 + 1, 2**32 + 1, 2),  # the int64 product reads 2**34 + 2
+    ])
+    def test_counts_cells_exactly(self, dims):
+        with pytest.raises(ValueError, match=f"hold {math.prod(dims)} cells"):
+            Mesh(dims)
+
+    def test_holds_as_many_cells_as_a_1form_can_index(self):
+        # a mesh holds only its dims, so neither allocates anything
+        most = np.iinfo(np.intp).max // (3 * 8)
+        assert Mesh((2, 2, most // 4)).dims == (2, 2, most // 4)
+        with pytest.raises(ValueError, match="cells"):
+            Mesh((2, 2, most // 4 + 1))
+
+
+def full_grid_sample(mesh, degree, funcs, dual):
+    """Independent encoder: each callable on full meshgrids, broadcast into its component."""
+    offsets = component_offsets(degree, dual)
+    data = np.zeros((len(offsets), *mesh.dims))
+    funcs = [funcs] if len(offsets) == 1 else funcs
+    for c, (f, offset) in enumerate(zip(funcs, offsets)):
+        if f is not None:
+            data[c] = np.broadcast_to(f(*mesh.coords(offset)), mesh.dims)
+    return data.reshape(FormField.zeros(mesh, degree).data.shape)
+
+
+class TestSampleForm:
+    FUNCS = [
+        lambda x, y, z: np.sin(0.7 * x) * np.cos(0.3 * y) + np.exp(-0.1 * z),
+        lambda x, y, z: 2.5,  # scalar-returning
+        lambda x, y, z: np.tanh(0.4 * y),  # ignores two axes
+    ]
+
+    @pytest.mark.parametrize("dims,spacing", [((8, 8, 8), 1.0), ((7, 13, 5), 0.37),
+                                              ((33, 31, 29), 1.0 / 29)])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_matches_full_grid_encoder_bitwise(self, dims, spacing, degree, dual):
+        m = Mesh(dims, spacing)
+        cases = [[f] * 3 for f in self.FUNCS] + [self.FUNCS, [None, self.FUNCS[0], None]]
+        if degree in (0, 3):
+            cases = self.FUNCS
+        for funcs in cases:
+            got = sample_form(m, degree, funcs, dual)
+            assert (got.degree, got.dual) == (degree, dual)
+            assert got.data.tobytes() == full_grid_sample(m, degree, funcs, dual).tobytes()
+
+    @pytest.mark.parametrize("degree,funcs", [
+        (1, [np.sin] * 4),  # one too many
+        (1, [np.sin] * 2),  # the third component would stay zero unasked
+        (1, np.sin),  # a bare callable for three components
+        (2, [np.sin, 1.0, None]),  # an entry that is not a callable
+        (0, [np.sin] * 3),  # a list where one callable goes
+        (3, 2.0),
+    ])
+    def test_malformed_funcs_are_rejected(self, mesh, degree, funcs):
+        with pytest.raises(ValueError, match=f"degree-{degree} form samples"):
+            sample_form(mesh, degree, funcs)
 
 
 class TestExteriorDerivative:
@@ -474,7 +535,7 @@ class TestMemoryPeaks:
 
     @pytest.mark.parametrize("name,arrays", [
         ("wedge_1_1", 6), ("wedge_1_2", 3), ("inner_product", 3), ("energy_density", 4),
-        ("medium", 8),
+        ("medium", 8), ("sample_form", 3),
     ])
     def test_peak_stays_pinned(self, name, arrays):
         rng = np.random.default_rng(6)
@@ -492,6 +553,10 @@ class TestMemoryPeaks:
             "inner_product": lambda: inner_product_1forms(e, e2),
             "energy_density": lambda: energy_density(D, B, medium),
             "medium": lambda: MediumProfile(m, eps, mu),
+            # the convergence oracle's 1-form; full meshgrids peaked at 9 arrays
+            "sample_form": lambda: sample_form(m, 1, [
+                lambda x, y, z: np.sin(x) * np.cos(y), lambda x, y, z: np.cos(y) * np.sin(z),
+                None]),
         }
         # the outputs count; scratch below half an array (plane buffers) does not
         assert self.peak_arrays(calls[name]) < arrays + 0.5

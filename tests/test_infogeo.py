@@ -49,11 +49,34 @@ class TestMetrics:
         with pytest.raises(ValueError):
             contravariant_metric(1.0, -1.0)
 
+    @pytest.mark.parametrize("eps,mu", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                        (1.0, np.inf)])
+    def test_non_finite_media_are_rejected(self, eps, mu):
+        # NaN compares False with 0 and inf gives a singular metric
+        for metric in (fiber_metric, contravariant_metric):
+            with pytest.raises(ValueError, match="positive and finite"):
+                metric(eps, mu)
+
 
 class TestFiberPoint:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError):
             FiberPoint(x=np.ones(6), p=np.zeros(6), eps=1.0, mu=1.0)
+
+    def test_non_finite_media_are_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FiberPoint.from_x(np.ones(6), np.nan, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            FiberPoint(np.ones(6), 5 * np.ones(6), np.nan, 1.0)  # p does not fit x
+
+    @pytest.mark.parametrize("x,p", [
+        (np.full(6, np.nan), np.full(6, np.nan)),
+        (np.ones(6), np.full(6, np.inf)),
+        (np.full(6, np.inf), np.full(6, np.inf)),
+    ])
+    def test_non_finite_coordinates_are_rejected(self, x, p):
+        with pytest.raises(ValueError, match="must be finite"):
+            FiberPoint(x, p, 1.0, 1.0)
 
     def test_from_x_and_from_p_agree(self):
         rng = np.random.default_rng(1)
