@@ -139,8 +139,11 @@ class FormField:
     """A discrete differential form: degree, complex flag, component data.
 
     ``data`` has shape (N1, N2, N3) for degrees 0 and 3 and (3, N1, N2, N3)
-    for degrees 1 and 2.  Instances are treated as immutable; operations
-    allocate fresh outputs.
+    for degrees 1 and 2.  Arithmetic on forms allocates fresh outputs, and
+    an operation writes into an existing array only where its ``out`` names
+    one.  `cmx.dynamics.run_scenario` steps its own state in place, so the
+    forms of a state it hands a sink hold their values only until its next
+    step.
     """
 
     mesh: Mesh

@@ -20,8 +20,9 @@ the fields.  Reports measure the balance of psi against the Poynting flux
 `cmx.dec.poynting_divergence`, the summation-by-parts partner of the
 (2,4) difference.
 
-`run_scenario` allocates its workspace once: after that, a step allocates
-only the fresh state it returns and a report nothing of field size.
+`run_scenario` allocates its workspace once and steps one state in place:
+after the first step, a step allocates nothing of field size but the
+difference's scratch, and a report nothing.
 
 Both orientations (inductions evolved or intensities evolved) perform the
 same update algebra for static linear media and agree to rounding.
@@ -206,7 +207,7 @@ def _energy_terms(sign, degree, x, y, z=None):
     return [(degree, a, sign, fill) for a in range(3)]
 
 
-def _leapfrog(state, medium, cfg, curl_e=None, out=None):
+def _leapfrog(state, medium, cfg, curl_e=None, out=None, into=None):
     """One leapfrog step in ``cfg``'s orientation, and the curl of its new e.
 
     DB evolves (D, B) with plain curls and slaves e and h to them through
@@ -226,54 +227,64 @@ def _leapfrog(state, medium, cfg, curl_e=None, out=None):
     receives d(e_new), the curl of the last half-step, which is returned
     whole, bit for bit the next step's first curl; out[3:] is scratch.
     ``curl_e`` is exterior_derivative(state.e) when the caller already has
-    it, and may be out[:3].  The new state's thirteen arrays are the only
-    ones the step allocates.
+    it, and may be out[:3].
+
+    ``into`` names the five arrays (D, B, e, h, energy) that receive the
+    new state.  When it is None they are allocated, and the step writes
+    nothing the input state holds.  They may be the input state's own
+    arrays, each in its own place, except e: e_n is read by the energy
+    update after e_{n+1} exists.  The step never reads the slaved partner
+    of e (h in DB, D in EH), so e_{n+1} may take that array, and the
+    partner e_n's, as `_turned` has it.  Every old value is read before
+    its array is written, so the new state is bit for bit the allocated
+    step's.
     """
     _check_cfl(state.mesh, medium, cfg.dt)
     dt, mesh = cfg.dt, state.mesh
     if out is None:
         out = np.empty((7, *mesh.dims))
+    if into is None:
+        into = [np.empty((3, *mesh.dims)) for _ in range(4)] + [np.empty(mesh.dims)]
+    D, B, e, h, energy = into
     curl, half, sums = out[:3], out[3:6], out[6]
     if curl_e is None:
         curl_e = exterior_derivative(state.e, out=curl)
     e_n = state.e.data
     if cfg.orientation is Orientation.DB:
-        B = np.multiply(curl_e.data, -0.5 * dt)
-        B += state.B.data
+        np.add(np.multiply(curl_e.data, -0.5 * dt, out=half), state.B.data, out=B)
         B_half = FormField(mesh, 2, B)
         h_mid = medium.intensity(B_half, out=half)
         _cell_means(sums, _energy_terms(-1, 2, h_mid.data, curl_e.data), fresh=True)
         d_h = exterior_derivative(h_mid, out=curl)
-        D = np.multiply(d_h.data, dt)
-        D += state.D.data
+        # e's array holds the kick until e_new takes it
+        np.add(np.multiply(d_h.data, dt, out=e), state.D.data, out=D)
         D_new = FormField(mesh, 2, D, dual=True)
-        e_new = medium.intensity(D_new)
+        e_new = medium.intensity(D_new, out=e)
         _cell_means(sums, _energy_terms(1, 1, e_n, e_new.data, d_h.data))
         curl_new = exterior_derivative(e_new, out=curl)
         _cell_means(sums, _energy_terms(-1, 2, h_mid.data, curl_new.data))
-        # the second half-step's kick goes into h_mid's array
-        B += np.multiply(curl_new.data, -0.5 * dt, out=half)
-        B_new, h_new = B_half, medium.intensity(B_half)
+        # h's array holds the second kick until h_new takes it
+        B += np.multiply(curl_new.data, -0.5 * dt, out=h)
+        B_new, h_new = B_half, medium.intensity(B_half, out=h)
     else:
         np.multiply(curl_e.data, -0.5 * dt, out=half)
         kick = medium.intensity(FormField(mesh, 2, half), out=half)
-        h_half = FormField(mesh, 1, np.add(kick.data, state.h.data), dual=True)
+        h_half = FormField(mesh, 1, np.add(kick.data, state.h.data, out=h), dual=True)
         _cell_means(sums, _energy_terms(-1, 2, h_half.data, curl_e.data), fresh=True)
         d_h = exterior_derivative(h_half, out=curl)
         np.multiply(d_h.data, dt, out=half)
         rise = medium.intensity(FormField(mesh, 2, half, dual=True), out=half)
-        e_new = FormField(mesh, 1, np.add(rise.data, e_n))
+        e_new = FormField(mesh, 1, np.add(rise.data, e_n, out=e))
         _cell_means(sums, _energy_terms(1, 1, e_n, e_new.data, d_h.data))
         curl_new = exterior_derivative(e_new, out=curl)
         _cell_means(sums, _energy_terms(-1, 2, h_half.data, curl_new.data))
         # the second half-step goes into h_half's array, which becomes h_new
         np.multiply(curl_new.data, -0.5 * dt, out=half)
-        np.add(h_half.data, medium.intensity(FormField(mesh, 2, half), out=half).data,
-               out=h_half.data)
+        h += medium.intensity(FormField(mesh, 2, half), out=half).data
         h_new = h_half
-        D_new, B_new = medium.induction(e_new), medium.induction(h_new)
-    energy = np.multiply(sums, 0.5 * dt)
-    energy += state.energy.data
+        # D_n and B_n are read by nothing above, so their arrays are written last
+        D_new, B_new = medium.induction(e_new, out=D), medium.induction(h_new, out=B)
+    np.add(np.multiply(sums, 0.5 * dt, out=sums), state.energy.data, out=energy)
     return MaxwellState(D=D_new, B=B_new, e=e_new, h=h_new,
                         energy=FormField(mesh, 0, energy, dual=True),
                         time=state.time + dt), curl_new
@@ -366,6 +377,17 @@ def _reported(step, s_prev, state, medium, **options):
         raise error from exc
 
 
+def _turned(state, orientation):
+    """The arrays a step of ``state`` writes the next state into: its own,
+    with e's traded for the slaved partner's (h in DB, D in EH), which the
+    step never reads."""
+    D, B, e, h, energy = (getattr(state, name).data
+                          for name in ("D", "B", "e", "h", "energy"))
+    if orientation is Orientation.DB:
+        return D, B, h, e, energy
+    return e, B, D, h, energy
+
+
 def run_scenario(initial, medium, cfg, sinks=()):
     """Step the configured orientation, reporting diagnostics every cadence.
 
@@ -384,23 +406,30 @@ def run_scenario(initial, medium, cfg, sinks=()):
     Outputs equal those of `step_induction` or `step_intensity` called
     once per step.
 
+    The run steps one state in place.  Step 1 writes into thirteen arrays
+    it allocates, so ``initial`` is never written; every later step writes
+    the new state over the last (see `_turned`).  A sink is handed that
+    live state, valid only during the call: a sink that keeps it must copy
+    it.  The state returned is the run's own.
+
     Memory: the run allocates one (12, N1, N2, N3) block up front.  Its
     first three planes carry the curl from step to step, the next four are
     each step's scratch, and the last nine hold each report's
     `PhaseResiduals`; steps and reports never overlap in time, so they
-    share planes 3-6.  After that, a step allocates only the thirteen
-    arrays of the fresh state it hands the sinks, and a report none.
+    share planes 3-6.  After step 1 the run holds one state and this
+    block: a step allocates nothing of field size but
+    `exterior_derivative`'s per-call scratch, and a report none.
     """
     work = np.empty((12, *initial.mesh.dims))
     residuals = PhaseResiduals.empty(initial.mesh, cfg.orientation, out=work[3:])
-    state = initial
     reports = [_reported(0, initial, initial, medium, kappa=cfg.kappa,
                          orientation=cfg.orientation, out=residuals)]
     for sink in sinks:
         sink(initial, 0)
-    curl_e = None
+    state, curl_e, into = initial, None, None
     for k in range(1, cfg.steps + 1):
-        state, curl_e = _leapfrog(state, medium, cfg, curl_e, out=work[:7])
+        state, curl_e = _leapfrog(state, medium, cfg, curl_e, out=work[:7], into=into)
+        into = _turned(state, cfg.orientation)
         if k % cfg.cadence == 0 or k == cfg.steps:
             # a whole-domain report handed psi_prev reads s_prev's time alone,
             # so s_prev is this state at the last row's time

@@ -71,12 +71,15 @@ class FiberPoint:
         object.__setattr__(self, "p", p)
         if x.shape != (6,) or p.shape != (6,):
             raise ValueError("fiber coordinates must be length-6 vectors")
-        expected = fiber_metric(self.eps, self.mu) @ x
-        scale = 1.0 + float(np.abs(expected).max())
-        # `not <=`, so that a NaN left by a non-finite coordinate fails too
-        if not float(np.abs(expected - p).max()) <= _CONSISTENCY_TOL * scale:
-            if not (np.isfinite(x).all() and np.isfinite(p).all()):
-                raise ValueError("fiber coordinates must be finite")
+        _check_medium(self.eps, self.mu)
+        xs, ps = x.tolist(), p.tolist()
+        if not all(map(math.isfinite, xs + ps)):
+            raise ValueError("fiber coordinates must be finite")
+        # fiber_metric @ x, in Python floats: its diagonal times x
+        weights = (1.0 / self.eps,) * 3 + (1.0 / self.mu,) * 3
+        expected = [w * v for w, v in zip(weights, xs)]
+        bound = _CONSISTENCY_TOL * (1.0 + max(map(abs, expected)))
+        if not all(abs(e - q) <= bound for e, q in zip(expected, ps)):
             raise ValueError("p is not the constitutive gradient of x")
 
     @classmethod

@@ -30,6 +30,7 @@ from .dec import (
 from .dynamics import (
     SchemeConfig,
     _leapfrog,
+    _turned,
     cfl_limit,
     evolve_potential,
     run_scenario,
@@ -542,10 +543,15 @@ def suite_dynamics(seed=0):
     ham7 = 0.0
     psi7 = functional(energy_density(s7.D, s7.B, med7))
     cfg7e = replace(cfg7, orientation=Orientation.EH)
-    curl_a = curl_b = None  # each step hands its last curl to the next
+    # each step hands its last curl to the next, and after the first writes
+    # its state over the last, as run_scenario does; each run works in its
+    # own half of one workspace
+    work7 = np.empty((2, 7, *mesh.dims))
+    curl_a = curl_b = into_a = into_b = None
     for k in range(cfg7.steps):
-        a, curl_a = _leapfrog(a, med7, cfg7, curl_a)
-        b, curl_b = _leapfrog(b, med7, cfg7e, curl_b)
+        a, curl_a = _leapfrog(a, med7, cfg7, curl_a, out=work7[0], into=into_a)
+        b, curl_b = _leapfrog(b, med7, cfg7e, curl_b, out=work7[1], into=into_b)
+        into_a, into_b = _turned(a, Orientation.DB), _turned(b, Orientation.EH)
         if (k + 1) % cfg7.cadence == 0:
             ham7 = max(ham7, abs(functional(
                 contact_hamiltonian_density(a, med7, Orientation.DB))))
