@@ -78,6 +78,11 @@ def _cmd_verify(args):
 def _cmd_transform(args):
     coeffs = np.asarray(args.psi_quadratic, dtype=float)
     p = np.asarray(args.p, dtype=float)
+    for flag, values in (("--psi-quadratic", coeffs), ("--p", p)):
+        if not np.all(np.isfinite(values)):
+            print(f"{flag} values must be finite, got "
+                  + " ".join(map(str, values.tolist())), file=sys.stderr)
+            return 1
     if np.any(coeffs <= 0):
         print("quadratic coefficients must be positive for a convex transform",
               file=sys.stderr)

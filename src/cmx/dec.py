@@ -510,25 +510,39 @@ def hodge_star(alpha):
     return FormField(alpha.mesh, 3 - alpha.degree, alpha.data.copy(), not alpha.dual)
 
 
-def _wedge_term(u, off_u, v, off_v, target):
-    """One product term of a wedge, averaged onto the target offset.
+def _wedge_term(u, off_u, v, off_v, target, out=None, spare=None):
+    """One product term of a wedge, averaged onto the target offset, into ``out``.
 
     Axes where a single factor is misaligned average that factor; axes
     where both factors share a misaligned offset average the product.
     Each move is a two-point mean, so the result is second order (the
     products stay two-point even though `exterior_derivative` is fourth
     order; `poynting_divergence` widens the one pairing that must match d).
+    The moved factors, their product and its means use only ``out`` and
+    ``spare`` (C-contiguous field arrays, each allocated if not given, the
+    spare only where a term needs it), besides `resample`'s own spare for
+    a factor moved along two axes.
     """
     shared = [ax for ax in range(3) if off_u[ax] != target[ax] and off_v[ax] != target[ax]]
     mid = tuple(off_u[ax] if ax in shared else target[ax] for ax in range(3))
-    u, v = resample(u, off_u, mid), resample(v, off_v, mid)
-    # the product reuses a fresh mean's array, and the other mean is freed
-    prod = np.multiply(u, v, out=u if mid != off_u else v if mid != off_v else np.empty(u.shape))
-    del u, v
-    # the product's means alternate between its own array and one spare
-    spare = np.empty(prod.shape) if shared else None
+    bufs = [np.empty(np.shape(u)) if out is None else out, spare]
+
+    def buf(i):
+        if bufs[i] is None:
+            bufs[i] = np.empty(bufs[0].shape)
+        return bufs[i]
+
+    # the product's means alternate between the two buffers, so it starts in
+    # the one they end in out from; a moved factor sits where the product goes
+    p = len(shared) % 2
+    if mid != off_u:
+        u = resample(u, off_u, mid, out=buf(p))
+    if mid != off_v:
+        v = resample(v, off_v, mid, out=buf(1 - p if mid != off_u else p))
+    prod = np.multiply(u, v, out=buf(p))
     for ax in shared:
-        prod, spare = _mean_half(prod, ax, mid[ax], target[ax], spare), prod
+        prod = _mean_half(prod, ax, mid[ax], target[ax], buf(1 - p))
+        p = 1 - p
     return prod
 
 
@@ -570,14 +584,17 @@ def wedge(alpha, beta):
 
     if qa == 1 and qb == 1:
         offs_a, offs_b = alpha.offsets(), beta.offsets()
-        out = FormField.zeros(alpha.mesh, 2, dual=False)
+        out = np.empty((3, *alpha.mesh.dims))
+        # the first term lands in its output component, the second in one
+        # scratch pair that all three components reuse
+        term, spare = np.empty(alpha.mesh.dims), np.empty(alpha.mesh.dims)
         for c in range(3):
             a, b = (c + 1) % 3, (c + 2) % 3
             target = _primal_offset(2, c)
-            np.subtract(_wedge_term(alpha.data[a], offs_a[a], beta.data[b], offs_b[b], target),
-                        _wedge_term(alpha.data[b], offs_a[b], beta.data[a], offs_b[a], target),
-                        out=out.data[c])
-        return out
+            _wedge_term(alpha.data[a], offs_a[a], beta.data[b], offs_b[b], target, out[c], spare)
+            out[c] -= _wedge_term(alpha.data[b], offs_a[b], beta.data[a], offs_b[a], target,
+                                  term, spare)
+        return FormField(alpha.mesh, 2, out, dual=False)
 
     if {qa, qb} == {1, 2}:
         return _paired_sum(alpha, beta, 3)

@@ -83,6 +83,12 @@ def _check(name, measured, bound, larger_ok=False):
     return CheckResult(name, bool(ok), f"{measured:.3e} {rel} {bound:.3e}")
 
 
+def _max_gap(computed, truth):
+    """max |computed - truth|, formed in ``computed``'s own array."""
+    np.subtract(computed, truth, out=computed)
+    return float(np.abs(computed, out=computed).max())
+
+
 # ----------------------------------------------------------------------
 # random analytic test objects
 # ----------------------------------------------------------------------
@@ -305,7 +311,10 @@ def suite_dec(seed=0):
     n3 = float(np.prod(mesh.dims))
     results.append(_check("dec.stokes_periodic", worst, 1e-12 * n3))
 
-    # convergence order >= 1.9 for d, wedge, and the 1-form inner product
+    # convergence order >= 1.9 for d, wedge, and the 1-form inner product;
+    # each error is taken as soon as its arrays exist, in the computed
+    # array's own storage, and each array is dropped after its last read,
+    # so the 64^3 level holds one field set at a time
     def errors(n):
         m = Mesh((n, n, n), spacing=1.0 / n)
         L = 1.0
@@ -319,27 +328,29 @@ def suite_dec(seed=0):
 
         alpha = sample_form(m, 1, [f1, f2, None])
         dalpha = exterior_derivative(alpha)
-        # analytic curl component 2: d(alpha_1)/d0 - d(alpha_0)/d1
+        # analytic curl component 2: d(alpha_1)/d0 - d(alpha_0)/d1, where
+        # alpha_1 has no x dependence
         X, Y, Z = m.coord_axes(dalpha.offsets()[2])
-        truth = np.zeros(m.dims)
-        truth += 0.0  # alpha_1 has no x dependence
-        truth -= -kx * np.sin(kx * X) * np.sin(kx * Y)
-        e_d = float(np.abs(dalpha.data[2] - truth).max())
+        e_d = _max_gap(dalpha.data[2], kx * np.sin(kx * X) * np.sin(kx * Y))
+        del dalpha
 
         beta = sample_form(m, 1, [None, f2, f1])
         prod = wedge(alpha, beta)
         Xp, Yp, Zp = m.coord_axes(prod.offsets()[2])
-        truth_w = f1(Xp, Yp, Zp) * f2(Xp, Yp, Zp)
-        e_w = float(np.abs(prod.data[2] - truth_w).max())
+        e_w = _max_gap(prod.data[2], f1(Xp, Yp, Zp) * f2(Xp, Yp, Zp))
+        del prod
 
         ip = inner_product_1forms(alpha, beta)
-        Xn, Yn, Zn = m.coord_axes((0.0, 0.0, 0.0))
-        truth_ip = f2(Xn, Yn, Zn) ** 2  # only the middle components pair up
-        e_ip = float(np.abs(ip.data - truth_ip).max())
-
-        via_star = hodge_star(wedge(alpha, hodge_star(beta)))
+        star_beta = hodge_star(beta)
+        del beta
+        via_star = hodge_star(wedge(alpha, star_beta))
+        del alpha, star_beta
         back = resample(via_star.data, (0.5, 0.5, 0.5), (0.0, 0.0, 0.0))
-        e_vs = float(np.abs(ip.data - back).max())
+        del via_star
+        e_vs = _max_gap(back, ip.data)
+        Xn, Yn, Zn = m.coord_axes((0.0, 0.0, 0.0))
+        # only the middle components pair up
+        e_ip = _max_gap(ip.data, f2(Xn, Yn, Zn) ** 2)
         return np.array([e_d, e_w, e_ip, e_vs])
 
     errs = [errors(n) for n in (16, 32, 64)]
@@ -765,16 +776,17 @@ def io_checks(seed=0):
         m = cfg.build_mesh()
         med = cfg.build_medium(m)
         scheme = cfg.build_scheme(m, med)
-        rows = []
-        for _ in range(2):
+        # each rerun writes its own file: ext4 flushes a file rewritten over
+        # its old data when it is closed (auto_da_alloc), tens of ms a time
+        rows, exact_rows = [], True
+        for rerun in range(2):
             _, reports = run_scenario(cfg.build_initial(m, med, scheme), med,
                                       scheme)
-            csv_path = os.path.join(tmp, "ts.csv")
+            csv_path = os.path.join(tmp, f"ts_{rerun}.csv")
             write_timeseries(reports, csv_path)
             with open(csv_path, "rb") as fh:
                 rows.append(fh.read())
-            parsed = read_timeseries(csv_path)
-            exact_rows = parsed == list(reports)
+            exact_rows &= read_timeseries(csv_path) == list(reports)
         results.append(CheckResult("io.timeseries_round_trip", exact_rows,
                                    "parsed rows equal written rows"
                                    if exact_rows else "mismatch"))

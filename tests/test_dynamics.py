@@ -1,6 +1,5 @@
 """Leapfrog stepping, diagnostics, and the potential-form oracle."""
 
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -504,7 +503,7 @@ class TestRunMemory:
     DIMS = (32, 32, 32)
 
     @pytest.mark.parametrize("orientation", [Orientation.DB, Orientation.EH])
-    def test_run_peak_stays_pinned(self, orientation):
+    def test_run_peak_stays_pinned(self, orientation, peak_arrays):
         # one state (13 arrays), stepped in place, the run's (12, N1, N2, N3)
         # workspace and exterior_derivative's per-call scratch (about 2.9
         # arrays at 32^3): 27.9 measured; nothing else of field size lives
@@ -515,14 +514,7 @@ class TestRunMemory:
                                     orientation=orientation)
         initial = plane_wave_state(mesh, medium, cfg.dt, axis=0, wavelength=16.0,
                                    polarization=1)
-        run_scenario(initial, medium, cfg)  # the shift plans are memoised on the first run
-        tracemalloc.start()
-        try:
-            run_scenario(initial, medium, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (8 * np.prod(self.DIMS)) <= 28.5
+        assert peak_arrays(lambda: run_scenario(initial, medium, cfg), self.DIMS) <= 28.5
 
 
 class TestNonFiniteState:

@@ -395,6 +395,18 @@ class TestCli:
         assert main(argv) == 0
         assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
 
+    @pytest.mark.parametrize("coeffs,p,flag", [
+        (["nan", "1", "1", "2", "2", "2"], ["1", "0", "0", "2", "0", "0"], "--psi-quadratic"),
+        (["1", "1", "inf", "2", "2", "2"], ["1", "0", "0", "2", "0", "0"], "--psi-quadratic"),
+        (["1", "1", "1", "2", "2", "2"], ["1", "nan", "0", "2", "0", "0"], "--p"),
+        (["1", "1", "1", "2", "2", "2"], ["1", "0", "0", "2", "0", "inf"], "--p"),
+    ])
+    def test_transform_rejects_non_finite_input_by_name(self, capsys, coeffs, p, flag):
+        assert main(["transform", "--psi-quadratic", *coeffs, "--p", *p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{flag} values must be finite, got ")
+
     def test_transform_matches_closed_form(self, capsys):
         code = main(["transform", "--psi-quadratic", "1", "1", "1", "2", "2", "2",
                      "--p", "1", "0", "0", "2", "0", "0"])
